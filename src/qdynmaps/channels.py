@@ -316,21 +316,15 @@ def minimize_output_min_eig(
     return best_val, best_vec, samples
 
 
-def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> PositivityReport:
-    """Search pure inputs for an output with a negative eigenvalue.
+def certify_violation(apply, best_val: float, best_vec: np.ndarray,
+                      samples: int) -> PositivityReport:
+    """Verdict of a pure-state search that ended at best_vec.
 
-    "certified-violation" carries a witness whose image genuinely fails PSD;
-    "no-violation-found" only reports search exhaustion, not a proof.
+    The violation is certified only when best_val lies below the witness
+    margin, 10 * tol scaled by the largest entry of the witness's image.
     """
-    if t.dim_in != t.dim_out and t.dim_in != 2:
-        # lattice is defined for square qubit-like searches; random states
-        # still apply for any input dimension
-        pass
-    best_val, best_vec, samples = minimize_output_min_eig(
-        t.apply_batch, t.dim_in, budget=budget, seed=seed
-    )
     witness = states.projector(best_vec)
-    out_scale = max(1.0, float(np.abs(t.apply(witness)).max()))
+    out_scale = max(1.0, float(np.abs(apply(witness)).max()))
     if best_val < -10.0 * tolerance() * out_scale:
         return PositivityReport(
             is_positive="certified-violation",
@@ -339,6 +333,18 @@ def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> Posi
             samples_used=samples,
         )
     return PositivityReport(is_positive="no-violation-found", samples_used=samples)
+
+
+def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> PositivityReport:
+    """Search pure inputs for an output with a negative eigenvalue.
+
+    "certified-violation" carries a witness whose image genuinely fails PSD;
+    "no-violation-found" only reports search exhaustion, not a proof.
+    """
+    best_val, best_vec, samples = minimize_output_min_eig(
+        t.apply_batch, t.dim_in, budget=budget, seed=seed
+    )
+    return certify_violation(t.apply, best_val, best_vec, samples)
 
 
 def extend_with_identity(t: Superoperator, n: int) -> Superoperator:
@@ -380,16 +386,7 @@ def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -
         seed=seed,
         extra_candidates=ent[None, :],
     )
-    witness = states.projector(best_vec)
-    out_scale = max(1.0, float(np.abs(comp.apply(witness)).max()))
-    if best_val < -10.0 * tolerance() * out_scale:
-        return PositivityReport(
-            is_positive="certified-violation",
-            witness=witness,
-            witness_min_eigenvalue=best_val,
-            samples_used=samples,
-        )
-    return PositivityReport(is_positive="no-violation-found", samples_used=samples)
+    return certify_violation(comp.apply, best_val, best_vec, samples)
 
 
 def adjoint_map(t: Superoperator) -> Superoperator:

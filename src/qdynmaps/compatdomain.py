@@ -81,10 +81,6 @@ class DomainReport:
     tol: float = 0.0
 
 
-def _min_eig_of_image(q: DomainQuery, rho: np.ndarray) -> float:
-    return matcore.min_eig(q.image(rho))
-
-
 def membership(q: DomainQuery, rho: np.ndarray) -> tuple[bool, float]:
     """Membership verdict and the deciding minimum eigenvalue."""
     img = q.image(rho)
@@ -144,10 +140,9 @@ def landscape(q: DomainQuery, resolution: int = 1, include_center: bool = True) 
     rhos = np.stack([states.from_bloch(r) for r in points])
     lmins = matcore.min_eig_batch(q.image_batch(rhos))
     samples = np.column_stack([points, lmins])
-    center_lmin = float(lmins[0]) if include_center else _min_eig_of_image(
-        q, states.I2 / 2.0
-    )
-    center_scale = max(1.0, float(np.abs(q.image(states.I2 / 2.0)).max()))
+    center_img = q.image(states.I2 / 2.0)
+    center_lmin = float(lmins[0]) if include_center else matcore.min_eig(center_img)
+    center_scale = max(1.0, float(np.abs(center_img).max()))
     return DomainReport(
         center_min_eigenvalue=center_lmin,
         center_member=center_lmin >= psd_threshold(center_scale),

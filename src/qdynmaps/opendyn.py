@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, states
-from .channels import Superoperator, unvec, vec
+from .channels import Superoperator, certify_violation, minimize_output_min_eig, unvec, vec
 from .config import tolerance
 from .matcore import dag, kron, partial_trace, trace_norm
 
@@ -435,8 +435,6 @@ def pechukas_witness(
     for product assignments the search comes up empty. Returns (witness or
     None, best min eigenvalue found).
     """
-    from .channels import minimize_output_min_eig
-
     d_s = phi.d_s
     rng = np.random.default_rng(seed)
     probes = [states.random_density(d_s, rng) for _ in range(20)]
@@ -448,18 +446,10 @@ def pechukas_witness(
             "the product-map theorem does not apply"
         )
 
-    if isinstance(phi, ProductAssignment):
-        apply_batch = lambda rhos: np.stack([phi(r) for r in rhos])
-    else:
-        apply_batch = phi.apply_batch
-    best_val, best_vec, _ = minimize_output_min_eig(
-        apply_batch, d_s, budget=budget, seed=seed
+    best_val, best_vec, samples = minimize_output_min_eig(
+        phi.apply_batch, d_s, budget=budget, seed=seed
     )
-    joint = assign(phi, states.projector(best_vec))
-    scale = max(1.0, float(np.abs(joint).max()))
-    if best_val < -10.0 * tolerance() * scale:
-        return states.projector(best_vec), best_val
-    return None, best_val
+    return certify_violation(phi, best_val, best_vec, samples).witness, best_val
 
 
 @dataclass(frozen=True)
@@ -541,11 +531,8 @@ def assignment_from_json(obj: dict) -> AssignmentMap:
     if variant == "product":
         return ProductAssignment(rho_r=states.matrix_from_json(obj["reservoir"]), d_s=d_s)
     if variant == "affine":
-        lin = np.asarray(obj["linear"]["re"], dtype=float) + 1j * np.asarray(
-            obj["linear"]["im"], dtype=float
-        )
         return AffineAssignment(
-            linear=lin,
+            linear=states.matrix_from_json(obj["linear"]),
             constant=states.matrix_from_json(obj["constant"]),
             d_s=d_s,
             d_r=d_r,

@@ -118,8 +118,9 @@ def singlet() -> np.ndarray:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """Validation report for a density-matrix candidate. Never raises:
-    provisionally invalid matrices (NCP outputs) must be carriable."""
+    """Validation report for a density-matrix candidate. Never raises on
+    finite input: provisionally invalid matrices (NCP outputs) must be
+    carriable. A NaN or infinite entry raises ValueError."""
 
     hermiticity_residual: float
     trace_residual: float
@@ -192,4 +193,4 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"declared dim {obj['dim']} does not match row count {re.shape[0]}"
         )
-    return re + 1j * im
+    return matcore.require_finite(re + 1j * im)

@@ -113,6 +113,18 @@ class TestInputErrors:
         )
         assert main(["domain", f, "--predicate", "lambda"]) == 1
 
+    @pytest.mark.parametrize("payload", ["transfer", "affine"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_entry_rejected(self, tmp_path, capsys, value, payload):
+        if payload == "transfer":
+            obj = channels.superoperator_to_json(channels.identity_superoperator(2))
+            obj["data"][0]["re"][1][2] = float(value)
+        else:
+            obj = opendyn.assignment_to_json(opendyn.correlated_assignment(0.5))
+            obj["linear"]["re"][1][2] = float(value)
+        assert main(["check", write_json(tmp_path, "bad.json", obj)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestPaperCases:
     @pytest.mark.parametrize(

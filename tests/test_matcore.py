@@ -192,8 +192,35 @@ def test_trace_norm_pauli():
 
 def test_min_eig_batch_matches_scalar():
     rng = np.random.default_rng(12)
-    for n in (2, 4):
+    for n in (1, 2, 3, 4, 16):
         hs = np.stack([random_hermitian(n, rng) for _ in range(20)])
+        want = np.linalg.eigvalsh(hs)[:, 0]
         batch = matcore.min_eig_batch(hs)
         single = [matcore.min_eig(h) for h in hs]
-        assert np.abs(batch - single).max() < 1e-10
+        assert np.abs(batch - want).max() < 1e-12
+        assert np.abs(np.array(single) - want).max() < 1e-12
+
+
+def test_min_eig_near_degenerate_2x2():
+    # eigenvalues 0.5 + 5e-10 -+ sqrt(1.25) * 1e-9: tr^2 - 4 det cancels
+    m = np.array([[0.5 + 1e-9, 1e-9], [1e-9, 0.5]], dtype=complex)
+    want = 0.5 + 5e-10 - np.sqrt(1.25) * 1e-9
+    assert abs(matcore.min_eig(m) - want) < 1e-14
+    assert abs(matcore.min_eig_batch(m[None])[0] - want) < 1e-14
+
+
+NONFINITE = {
+    "nan-diagonal": np.diag([np.nan, 1.0, 1.0]).astype(complex),
+    "inf-entry": np.array([[1.0, np.inf], [np.inf, 1.0]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE))
+@pytest.mark.parametrize(
+    "solve",
+    [matcore.min_eig, lambda m: matcore.min_eig_batch(m[None]), matcore.herm_eig],
+    ids=["min_eig", "min_eig_batch", "herm_eig"],
+)
+def test_nonfinite_input_raises(solve, name):
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(NONFINITE[name])
