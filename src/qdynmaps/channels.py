@@ -166,34 +166,24 @@ def transfer_from_kraus(k: KrausSet | list | tuple) -> Superoperator:
     return Superoperator(dim_in=d_in, dim_out=d_out, transfer=t)
 
 
-def _unit(i: int, j: int, d: int) -> np.ndarray:
-    e = np.zeros((d, d), dtype=complex)
-    e[i, j] = 1.0
-    return e
-
-
 def choi_of(t: Superoperator) -> np.ndarray:
-    """Choi matrix C = sum_ij E_ij (x) T(E_ij) (unnormalized)."""
+    """Choi matrix C = sum_ij E_ij (x) T(E_ij) (unnormalized).
+
+    A realignment: transfer[(b, a), (j, i)] = T(E_ij)[a, b] = C[(i, a), (j, b)].
+    """
     d_in, d_out = t.dim_in, t.dim_out
-    c = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for i in range(d_in):
-        for j in range(d_in):
-            block = unvec(t.transfer[:, j * d_in + i], d_out)
-            c += kron(_unit(i, j, d_in), block)
-    return c
+    t4 = np.asarray(t.transfer, dtype=complex).reshape(d_out, d_out, d_in, d_in)
+    return t4.transpose(3, 1, 2, 0).reshape(d_in * d_out, d_in * d_out)
 
 
 def transfer_from_choi(c: np.ndarray, dim_in: int, dim_out: int) -> Superoperator:
-    """Inverse of choi_of."""
+    """Inverse of choi_of (the same realignment)."""
     c = np.asarray(c, dtype=complex)
     n = dim_in * dim_out
     if c.shape != (n, n):
         raise ValueError(f"Choi shape {c.shape} does not match dims ({dim_in},{dim_out})")
-    t = np.zeros((dim_out**2, dim_in**2), dtype=complex)
-    blocks = c.reshape(dim_in, dim_out, dim_in, dim_out)
-    for i in range(dim_in):
-        for j in range(dim_in):
-            t[:, j * dim_in + i] = vec(blocks[i, :, j, :])
+    c4 = c.reshape(dim_in, dim_out, dim_in, dim_out)
+    t = c4.transpose(3, 1, 2, 0).reshape(dim_out**2, dim_in**2)
     return Superoperator(dim_in=dim_in, dim_out=dim_out, transfer=t)
 
 
@@ -215,9 +205,8 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int,
             "the map is NCP and has no Kraus representation"
         )
     ops = []
-    for lam, v in sorted(
-        zip(eig.eigenvalues, eig.eigenvectors.T), key=lambda p: -p[0]
-    ):
+    # eigh returns the spectrum ascending; walk it from the top
+    for lam, v in zip(eig.eigenvalues[::-1], eig.eigenvectors.T[::-1]):
         if lam <= tol * scale:
             break
         # C = sum_a w_a w_a^dag with w[(i,k)] = W[k,i]: unstack accordingly
@@ -229,17 +218,12 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int,
 def is_cp(t: Superoperator) -> PositivityReport:
     """Complete-positivity verdict from the Choi spectrum."""
     c = choi_of(t)
-    herm_res = matcore.hermiticity_residual(c)
     scale = max(1.0, float(np.abs(c).max()))
-    if herm_res > tolerance() * scale:
-        # not Hermiticity-preserving; certainly not CP
-        sym_min = matcore.min_eig(c)
-        return PositivityReport(min_choi_eigenvalue=sym_min, is_cp=False)
+    # a map that is not Hermiticity-preserving is certainly not CP
+    hermitian = matcore.hermiticity_residual(c) <= tolerance() * scale
     lmin = matcore.min_eig(c)
-    return PositivityReport(
-        min_choi_eigenvalue=lmin,
-        is_cp=bool(lmin >= psd_threshold(scale)),
-    )
+    return PositivityReport(min_choi_eigenvalue=lmin,
+                            is_cp=bool(hermitian and lmin >= psd_threshold(scale)))
 
 
 # -- pure-state violation search ---------------------------------------------
@@ -348,18 +332,17 @@ def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> Posi
 
 
 def extend_with_identity(t: Superoperator, n: int) -> Superoperator:
-    """The map T (x) I_n on the composite S + witness space (ordering S (x) W)."""
+    """The map T (x) I_n on the composite S + witness space (ordering S (x) W).
+
+    Transfer entry [(b, y, a, x), (j, v, i, w)] = T[(b, a), (j, i)] delta_xw delta_yv.
+    """
     d_in, d_out = t.dim_in, t.dim_out
     din_c, dout_c = d_in * n, d_out * n
-    transfer = np.zeros((dout_c**2, din_c**2), dtype=complex)
-    for i in range(d_in):
-        for j in range(d_in):
-            block = unvec(t.transfer[:, j * d_in + i], d_out)
-            for w in range(n):
-                for v in range(n):
-                    col = (j * n + v) * din_c + (i * n + w)
-                    transfer[:, col] = vec(kron(block, _unit(w, v, n)))
-    return Superoperator(dim_in=din_c, dim_out=dout_c, transfer=transfer)
+    t4 = np.asarray(t.transfer, dtype=complex).reshape(d_out, d_out, d_in, d_in)
+    eye = np.eye(n)
+    transfer = np.einsum("baji,xw,yv->byaxjviw", t4, eye, eye)
+    return Superoperator(dim_in=din_c, dim_out=dout_c,
+                         transfer=transfer.reshape(dout_c**2, din_c**2))
 
 
 def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -> PositivityReport:
@@ -376,8 +359,7 @@ def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -
     comp = extend_with_identity(t, n)
     k = min(t.dim_in, n)
     ent = np.zeros(t.dim_in * n, dtype=complex)
-    for i in range(k):
-        ent[i * n + i] = 1.0
+    ent[np.arange(k) * (n + 1)] = 1.0  # sum_i |i>|i> over the first k levels
     ent /= np.linalg.norm(ent)
     best_val, best_vec, samples = minimize_output_min_eig(
         comp.apply_batch,
@@ -457,11 +439,8 @@ def identity_superoperator(dim: int) -> Superoperator:
 
 def transpose_superoperator(dim: int) -> Superoperator:
     """The transpose map: positive but not completely positive for dim >= 2."""
-    t = np.zeros((dim**2, dim**2), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            t[:, j * dim + i] = vec(_unit(j, i, dim))
-    return Superoperator(dim_in=dim, dim_out=dim, transfer=t)
+    t = np.eye(dim**2, dtype=complex).reshape(dim, dim, dim, dim).transpose(0, 1, 3, 2)
+    return Superoperator(dim_in=dim, dim_out=dim, transfer=t.reshape(dim**2, dim**2))
 
 
 def flip_superoperator() -> Superoperator:

@@ -9,6 +9,10 @@ checked per case, not assumed.
 Geometry (boundary radii, landscapes) is qubit-only: the Bloch ball is the
 one canonical chart of a state space we have. Higher dimensions still get
 membership and convexity checks.
+
+A lambda :class:`DomainQuery` builds Lambda_t once and reuses it for every
+image; it cannot go stale, as the query is frozen and the matrices Lambda_t
+is built from are stored read-only (see ``opendyn``).
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import matcore, states
+from .channels import Superoperator
 from .config import psd_threshold, tolerance
 from .opendyn import AssignmentMap, ReducedDynamics, TabulatedAssignment, assign, reduced_map
 
@@ -57,15 +63,19 @@ class DomainQuery:
     def d_s(self) -> int:
         return self.phi.d_s
 
+    @cached_property
+    def _lambda_map(self) -> Superoperator:
+        return reduced_map(self.rd, self.t)
+
     def image(self, rho: np.ndarray) -> np.ndarray:
         if self.predicate == "phi":
             return assign(self.phi, rho)
-        return reduced_map(self.rd, self.t).apply(rho)
+        return self._lambda_map.apply(rho)
 
     def image_batch(self, rhos: np.ndarray) -> np.ndarray:
         if self.predicate == "phi":
             return self.phi.apply_batch(rhos)
-        return reduced_map(self.rd, self.t).apply_batch(rhos)
+        return self._lambda_map.apply_batch(rhos)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ startup (the CLI sets it from ``--tol``); library users may call
 mid-computation.
 """
 
+import math
+
 DEFAULT_TOL = 1e-9
 
 _tol = DEFAULT_TOL
@@ -18,10 +20,10 @@ def tolerance() -> float:
 
 
 def set_tolerance(tol: float) -> None:
-    """Fix the global tolerance. Must be positive."""
+    """Fix the global tolerance. Must be positive and finite."""
     global _tol
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     _tol = tol
 
 

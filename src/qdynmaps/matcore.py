@@ -127,6 +127,11 @@ class HermEig:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ dag(v)
 
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-i m t) = V exp(-i Lambda t) V^dag; unitary up to rounding for any t."""
+        v = self.eigenvectors
+        return (v * np.exp(-1j * self.eigenvalues * t)) @ dag(v)
+
 
 def require_finite(m) -> np.ndarray:
     """m as a complex array; raises ValueError if any entry is NaN or +-inf.
@@ -181,11 +186,5 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def unitary_at(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via eigendecomposition.
-
-    Unitary up to rounding for any t; no series truncation involved.
-    """
-    eig = herm_eig(h)
-    phases = np.exp(-1j * eig.eigenvalues * t)
-    v = eig.eigenvectors
-    return (v * phases) @ dag(v)
+    """exp(-i h t) for Hermitian h; see :meth:`HermEig.propagator`."""
+    return herm_eig(h).propagator(t)

@@ -10,11 +10,17 @@ phenomenon under study.
 Affine maps are held as (linear part, constant part) and audited for
 convex-mixture linearity; tabulated maps are defined on finitely many states
 and extended (or shown non-extendable) by :func:`extend_linearly`.
+
+A :class:`ReducedDynamics` diagonalises its Hamiltonian once and a lambda
+``compatdomain.DomainQuery`` builds its reduced map once. So that these
+caches cannot go stale, the matrices they derive from (the generator,
+``rho_r``, ``linear``, ``constant``) are stored as read-only copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +51,22 @@ __all__ = [
 ]
 
 
+def _readonly(m) -> np.ndarray:
+    """A complex copy of m that refuses in-place writes."""
+    m = np.array(m, dtype=complex)
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class ProductAssignment:
     """rho_S -> rho_S (x) rho_R with a fixed reservoir state."""
 
     rho_r: np.ndarray
     d_s: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "rho_r", _readonly(self.rho_r))
 
     @property
     def d_r(self) -> int:
@@ -60,10 +76,8 @@ class ProductAssignment:
         return kron(rho_s, self.rho_r)
 
     def apply_batch(self, rhos: np.ndarray) -> np.ndarray:
-        n = rhos.shape[0]
-        out = np.einsum("nab,cd->nacbd", rhos, self.rho_r)
         m = self.d_s * self.d_r
-        return out.reshape(n, m, m)
+        return np.einsum("nab,cd->nacbd", rhos, self.rho_r).reshape(rhos.shape[0], m, m)
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,10 @@ class AffineAssignment:
     constant: np.ndarray
     d_s: int
     d_r: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "linear", _readonly(self.linear))
+        object.__setattr__(self, "constant", _readonly(self.constant))
 
     def __call__(self, rho_s: np.ndarray) -> np.ndarray:
         n = self.d_s * self.d_r
@@ -135,15 +153,12 @@ AssignmentMap = ProductAssignment | AffineAssignment | TabulatedAssignment
 
 
 def product_as_affine(phi: ProductAssignment) -> AffineAssignment:
-    """Transfer-matrix form of rho -> rho (x) tau, built on the matrix units."""
+    """Transfer-matrix form of rho -> rho (x) tau: column (j, i) is
+    vec(E_ij (x) tau), whose entry (b, y, a, x) is delta_ai delta_bj tau[x, y]."""
     d_s, d_r = phi.d_s, phi.d_r
     n = d_s * d_r
-    lin = np.zeros((n**2, d_s**2), dtype=complex)
-    for i in range(d_s):
-        for j in range(d_s):
-            e = np.zeros((d_s, d_s), dtype=complex)
-            e[i, j] = 1.0
-            lin[:, j * d_s + i] = vec(kron(e, phi.rho_r))
+    eye = np.eye(d_s)
+    lin = np.einsum("ai,bj,xy->byaxji", eye, eye, phi.rho_r).reshape(n**2, d_s**2)
     return AffineAssignment(linear=lin, constant=np.zeros((n, n), dtype=complex),
                             d_s=d_s, d_r=d_r)
 
@@ -159,8 +174,7 @@ def correlated_assignment(c: float, d_s: int = 2) -> AffineAssignment:
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation strength c={c} outside [-1, 1]")
     base = product_as_affine(ProductAssignment(rho_r=states.I2 / 2.0, d_s=2))
-    const = (c / 4.0) * kron(states.SIGMA_Z, states.SIGMA_Z)
-    return AffineAssignment(linear=base.linear, constant=const, d_s=2, d_r=2)
+    return replace(base, constant=(c / 4.0) * kron(states.SIGMA_Z, states.SIGMA_Z))
 
 
 def dephasing_assignment(rho_r: np.ndarray, d_s: int = 2) -> AffineAssignment:
@@ -169,17 +183,9 @@ def dephasing_assignment(rho_r: np.ndarray, d_s: int = 2) -> AffineAssignment:
     The z-dephasing kills coherences before attaching the reservoir, so
     tr_R(Phi rho) != rho whenever rho has off-diagonal terms.
     """
-    d_r = rho_r.shape[0]
-    n = d_s * d_r
-    lin = np.zeros((n**2, d_s**2), dtype=complex)
-    for i in range(d_s):
-        for j in range(d_s):
-            e = np.zeros((d_s, d_s), dtype=complex)
-            if i == j:
-                e[i, j] = 1.0  # off-diagonal units map to zero
-            lin[:, j * d_s + i] = vec(kron(e, rho_r))
-    return AffineAssignment(linear=lin, constant=np.zeros((n, n), dtype=complex),
-                            d_s=d_s, d_r=d_r)
+    prod = product_as_affine(ProductAssignment(rho_r=rho_r, d_s=d_s))
+    # vec(I) keeps the columns of the diagonal units; off-diagonal ones map to zero
+    return replace(prod, linear=prod.linear * vec(np.eye(d_s)).real)
 
 
 def assign(phi: AssignmentMap, rho_s: np.ndarray) -> np.ndarray:
@@ -260,7 +266,8 @@ class ReducedDynamics:
     generator: tuple[str, np.ndarray]
 
     def __post_init__(self):
-        kind, m = self.generator
+        kind, m = self.generator[0], _readonly(self.generator[1])
+        object.__setattr__(self, "generator", (kind, m))
         n = self.phi.d_s * self.phi.d_r
         if m.shape != (n, n):
             raise ValueError(f"generator shape {m.shape} incompatible with dims ({n},{n})")
@@ -273,10 +280,14 @@ class ReducedDynamics:
         else:
             raise ValueError(f"unknown generator kind {kind!r}")
 
+    @cached_property
+    def _eig(self) -> matcore.HermEig:
+        return matcore.herm_eig(self.generator[1])
+
     def unitary_at(self, t: float) -> np.ndarray:
         kind, m = self.generator
         if kind == "hamiltonian":
-            return matcore.unitary_at(m, t)
+            return self._eig.propagator(t)
         if t == 0.0:
             return np.eye(m.shape[0], dtype=complex)
         return m
@@ -294,14 +305,11 @@ def reduced_map(rd: ReducedDynamics, t: float) -> Superoperator:
         raise TypeError("tabulated assignments must be extended with extend_linearly first")
     d_s, d_r = phi.d_s, phi.d_r
     u = rd.unitary_at(t)
-    transfer = np.zeros((d_s**2, d_s**2), dtype=complex)
-    for i in range(d_s):
-        for j in range(d_s):
-            e = np.zeros((d_s, d_s), dtype=complex)
-            e[i, j] = 1.0
-            joint = phi(e)
-            out = partial_trace(u @ joint @ dag(u), (d_s, d_r))
-            transfer[:, j * d_s + i] = vec(out)
+    # units[k] = E_ij for k = j*d_s + i; column k of the transfer matrix is vec(outs[k])
+    units = np.eye(d_s**2, dtype=complex).reshape(d_s**2, d_s, d_s).transpose(0, 2, 1)
+    joints = u @ phi.apply_batch(units) @ dag(u)
+    outs = np.einsum("nikjk->nij", joints.reshape(d_s**2, d_s, d_r, d_s, d_r))
+    transfer = outs.transpose(2, 1, 0).reshape(d_s**2, d_s**2)
     return Superoperator(dim_in=d_s, dim_out=d_s, transfer=transfer)
 
 

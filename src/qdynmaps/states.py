@@ -62,8 +62,8 @@ def from_bloch(r) -> np.ndarray:
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    if not norm <= 1.0 + 1e-12:
+        raise ValueError(f"Bloch vector norm {norm} is not at most 1")
     return (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
 
 

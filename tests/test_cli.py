@@ -106,6 +106,10 @@ class TestInputErrors:
     def test_bad_tolerance(self, tmp_path):
         assert main(["--tol", "-1", "check", flip_file(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tolerance(self, tmp_path, tol):
+        assert main(["--tol", tol, "check", flip_file(tmp_path)]) == 1
+
     def test_lambda_domain_without_generator(self, tmp_path):
         f = write_json(
             tmp_path, "corr.json",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdynmaps import matcore, states
+from qdynmaps import config, matcore, states
 from qdynmaps.states import (
     I2,
     SIGMA_X,
@@ -30,6 +30,11 @@ class TestBloch:
     def test_out_of_ball_rejected(self):
         with pytest.raises(ValueError):
             from_bloch((0, 0, 1.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            from_bloch((bad, 0, 0))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -155,3 +160,12 @@ class TestMatrixJson:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             states.matrix_from_json({"re": [[1.0]]})
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+    def test_nonpositive_or_nonfinite_rejected(self, bad):
+        before = config.tolerance()
+        with pytest.raises(ValueError):
+            config.set_tolerance(bad)
+        assert config.tolerance() == before
