@@ -53,7 +53,7 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(rows, cols, order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on matrix space, held as a transfer matrix on vectorized
     matrices. Shape is dim_out^2 x dim_in^2."""
@@ -83,8 +83,9 @@ class Superoperator:
         outs = vecs @ self.transfer.T
         return outs.reshape(n, self.dim_out, self.dim_out).transpose(0, 2, 1)
 
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
+    def is_trace_preserving(self, tol: float | None = None) -> bool:
         # tr(T(E_ij)) = delta_ij  <=>  vec(I)^T acting on transfer gives vec(I)^T
+        tol = tolerance() if tol is None else tol
         id_out = vec(np.eye(self.dim_out)).conj()
         row = id_out @ self.transfer
         return matcore.mat_close(
@@ -93,13 +94,12 @@ class Superoperator:
             tol,
         )
 
-    def is_unital(self, tol: float = 1e-9) -> bool:
-        return matcore.mat_close(
-            self.apply(np.eye(self.dim_in)), np.eye(self.dim_out), tol
-        )
+    def is_unital(self, tol: float | None = None) -> bool:
+        return matcore.mat_close(self.apply(np.eye(self.dim_in)), np.eye(self.dim_out),
+                                 tolerance() if tol is None else tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Kraus operators with a declared completeness class.
 
@@ -140,7 +140,7 @@ class KrausSet:
         return sum(dag(w) @ w for w in self.ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositivityReport:
     """Outcome of a CP or positivity audit.
 
@@ -218,15 +218,15 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int,
 def is_cp(t: Superoperator) -> PositivityReport:
     """Complete-positivity verdict from the Choi spectrum."""
     c = choi_of(t)
-    scale = max(1.0, float(np.abs(c).max()))
+    psd, lmin = matcore.psd_verdict(c)
     # a map that is not Hermiticity-preserving is certainly not CP
-    hermitian = matcore.hermiticity_residual(c) <= tolerance() * scale
-    lmin = matcore.min_eig(c)
     return PositivityReport(min_choi_eigenvalue=lmin,
-                            is_cp=bool(hermitian and lmin >= psd_threshold(scale)))
+                            is_cp=bool(matcore.is_hermitian(c) and psd))
 
 
 # -- pure-state violation search ---------------------------------------------
+
+DESCENT_STEPS = 50  # shrinking local-descent steps after the grid search
 
 
 def fibonacci_bloch(n: int) -> np.ndarray:
@@ -256,7 +256,6 @@ def minimize_output_min_eig(
     apply_batch,
     dim: int,
     budget: int = 2000,
-    descent_steps: int = 50,
     seed: int = 0,
     extra_candidates: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int]:
@@ -284,7 +283,7 @@ def minimize_output_min_eig(
 
     sigma = 0.5
     proposals = 32
-    for _ in range(descent_steps):
+    for _ in range(DESCENT_STEPS):
         g = rng.standard_normal((proposals, dim)) + 1j * rng.standard_normal(
             (proposals, dim)
         )

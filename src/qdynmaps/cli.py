@@ -13,6 +13,7 @@ input error. Human-readable output goes to stdout; machine JSON only to
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -307,14 +308,21 @@ def _load_generator(path: str) -> tuple[str, np.ndarray]:
     return kind, mat
 
 
+def _extended(phi: opendyn.AssignmentMap) -> opendyn.AffineAssignment | None:
+    """phi, with a table replaced by its linear extension; None (after saying
+    so) when the table admits none."""
+    if not isinstance(phi, opendyn.TabulatedAssignment):
+        return phi
+    result = opendyn.extend_linearly(phi)
+    if result.outcome == "conflict":
+        print("assignment table admits no linear extension (conflict)")
+    return result.extension
+
+
 def cmd_reduce(args) -> int:
-    phi = opendyn.assignment_from_json(_load_json(args.assignment))
-    if isinstance(phi, opendyn.TabulatedAssignment):
-        result = opendyn.extend_linearly(phi)
-        if result.outcome == "conflict":
-            print("assignment table admits no linear extension (conflict); aborting")
-            return EXIT_NEGATIVE
-        phi = result.extension
+    phi = _extended(opendyn.assignment_from_json(_load_json(args.assignment)))
+    if phi is None:
+        return EXIT_NEGATIVE
     generator = _load_generator(args.generator)
     try:
         rd = opendyn.ReducedDynamics(phi=phi, generator=generator)
@@ -361,13 +369,9 @@ def cmd_domain(args) -> int:
     obj = _load_json(args.file)
     if "variant" not in obj:
         raise CliError("domain subject must be an assignment-map file")
-    phi = opendyn.assignment_from_json(obj)
-    if isinstance(phi, opendyn.TabulatedAssignment):
-        result = opendyn.extend_linearly(phi)
-        if result.outcome == "conflict":
-            print("assignment table admits no linear extension (conflict)")
-            return EXIT_NEGATIVE
-        phi = result.extension
+    phi = _extended(opendyn.assignment_from_json(obj))
+    if phi is None:
+        return EXIT_NEGATIVE
     rd = None
     if args.predicate == "lambda":
         if not args.generator:
@@ -382,15 +386,7 @@ def cmd_domain(args) -> int:
     if rep.center_member:
         for d in _DEFAULT_RAYS:
             radii.append((d, compatdomain.boundary_radius(q, d)))
-    rep = compatdomain.DomainReport(
-        center_min_eigenvalue=rep.center_min_eigenvalue,
-        center_member=rep.center_member,
-        predicate=rep.predicate,
-        samples=rep.samples,
-        radii=tuple(radii),
-        seed=args.seed,
-        tol=config.tolerance(),
-    )
+    rep = dataclasses.replace(rep, radii=tuple(radii), seed=args.seed)
     print(f"center I/2: member={rep.center_member} (lmin {rep.center_min_eigenvalue:.6f})")
     for d, r in rep.radii:
         print(f"radius along {d}: {r:.8f}")

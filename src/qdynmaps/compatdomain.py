@@ -26,7 +26,7 @@ import numpy as np
 
 from . import matcore, states
 from .channels import Superoperator
-from .config import psd_threshold, tolerance
+from .config import tolerance
 from .opendyn import AssignmentMap, ReducedDynamics, TabulatedAssignment, assign, reduced_map
 
 __all__ = [
@@ -40,8 +40,11 @@ __all__ = [
     "report_to_csv",
 ]
 
+BISECT_TOL = 1e-8  # radius resolution of boundary_radius
+MEMBER_TRIES = 1000  # rejection-sampling draws per convexity_check member
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DomainQuery:
     """Subject of a domain computation: an assignment map, or a reduced
     dynamics evaluated at a fixed time, under one of the two predicates."""
@@ -56,6 +59,8 @@ class DomainQuery:
             raise ValueError(f"predicate must be 'phi' or 'lambda', got {self.predicate!r}")
         if self.predicate == "lambda" and self.rd is None:
             raise ValueError("lambda-level queries need a ReducedDynamics subject")
+        if self.rd is not None and self.rd.phi is not self.phi:
+            raise ValueError("the ReducedDynamics subject is built on a different assignment")
         if isinstance(self.phi, TabulatedAssignment):
             raise TypeError("domain queries need a totally defined assignment; extend first")
 
@@ -78,7 +83,7 @@ class DomainQuery:
         return self._lambda_map.apply_batch(rhos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainReport:
     center_min_eigenvalue: float
     center_member: bool
@@ -93,13 +98,10 @@ class DomainReport:
 
 def membership(q: DomainQuery, rho: np.ndarray) -> tuple[bool, float]:
     """Membership verdict and the deciding minimum eigenvalue."""
-    img = q.image(rho)
-    lmin = matcore.min_eig(img)
-    scale = max(1.0, float(np.abs(img).max()))
-    return lmin >= psd_threshold(scale), lmin
+    return matcore.psd_verdict(q.image(rho))
 
 
-def boundary_radius(q: DomainQuery, direction, bisect_tol: float = 1e-8) -> float:
+def boundary_radius(q: DomainQuery, direction) -> float:
     """Largest radius along a Bloch direction still inside the domain.
 
     The minimum eigenvalue of an affine Hermitian family is concave, so
@@ -122,7 +124,7 @@ def boundary_radius(q: DomainQuery, direction, bisect_tol: float = 1e-8) -> floa
     if inside(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2.0
         if inside(mid):
             lo = mid
@@ -131,7 +133,7 @@ def boundary_radius(q: DomainQuery, direction, bisect_tol: float = 1e-8) -> floa
     return lo
 
 
-def landscape(q: DomainQuery, resolution: int = 1, include_center: bool = True) -> DomainReport:
+def landscape(q: DomainQuery, resolution: int = 1) -> DomainReport:
     """Minimum-eigenvalue samples over a deterministic Bloch-ball grid.
 
     Fibonacci sphere shells at radii 0.1 .. 1.0; ``resolution`` scales the
@@ -143,28 +145,26 @@ def landscape(q: DomainQuery, resolution: int = 1, include_center: bool = True) 
     if q.d_s != 2:
         raise ValueError("landscape is defined for qubit subjects only")
     per_shell = 100 * resolution
-    points = [np.zeros(3)] if include_center else []
+    points = [np.zeros(3)]
     for radius in np.linspace(0.1, 1.0, 10):
         points.extend(radius * fibonacci_bloch(per_shell))
     points = np.asarray(points)
     rhos = np.stack([states.from_bloch(r) for r in points])
-    lmins = matcore.min_eig_batch(q.image_batch(rhos))
-    samples = np.column_stack([points, lmins])
-    center_img = q.image(states.I2 / 2.0)
-    center_lmin = float(lmins[0]) if include_center else matcore.min_eig(center_img)
-    center_scale = max(1.0, float(np.abs(center_img).max()))
+    images = q.image_batch(rhos)
+    samples = np.column_stack([points, matcore.min_eig_batch(images)])
+    center_member, center_lmin = matcore.psd_verdict(images[0])
     return DomainReport(
         center_min_eigenvalue=center_lmin,
-        center_member=center_lmin >= psd_threshold(center_scale),
+        center_member=center_member,
         predicate=q.predicate,
         samples=samples,
         tol=tolerance(),
     )
 
 
-def _random_member(q: DomainQuery, rng: np.random.Generator, max_tries: int = 1000) -> np.ndarray:
+def _random_member(q: DomainQuery, rng: np.random.Generator) -> np.ndarray:
     d = q.d_s
-    for _ in range(max_tries):
+    for _ in range(MEMBER_TRIES):
         if d == 2:
             r = rng.standard_normal(3)
             r *= rng.random() ** (1 / 3) / np.linalg.norm(r)

@@ -27,7 +27,6 @@ def set_tolerance(tol: float) -> None:
     _tol = tol
 
 
-def psd_threshold(max_abs_entry: float, tol: float | None = None) -> float:
+def psd_threshold(max_abs_entry: float) -> float:
     """Acceptance threshold for the minimum eigenvalue of a PSD candidate."""
-    t = _tol if tol is None else tol
-    return -t * max(1.0, max_abs_entry)
+    return -_tol * max(1.0, max_abs_entry)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import tolerance
+from .config import psd_threshold, tolerance
 
 __all__ = [
     "kron",
@@ -56,10 +56,9 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.abs(m - dag(m)).max()) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    t = tolerance() if tol is None else tol
+def is_hermitian(m: np.ndarray) -> bool:
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return hermiticity_residual(m) <= t * scale
+    return hermiticity_residual(m) <= tolerance() * scale
 
 
 def mat_close(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
@@ -112,7 +111,7 @@ def partial_transpose(m: np.ndarray, dims: tuple[int, int], subsystem: int = 1) 
     return t.reshape(d_s * d_r, d_s * d_r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -177,6 +176,14 @@ def min_eig_batch(ms: np.ndarray) -> np.ndarray:
         d = sym[..., 1, 1].real
         return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(sym[..., 0, 1]))
     return np.linalg.eigvalsh(sym)[..., 0]
+
+
+def psd_verdict(m: np.ndarray) -> tuple[bool, float]:
+    """(m is PSD within tolerance, its minimum eigenvalue): the one PSD
+    decision, lmin >= -tol * max(1, |m|_inf)."""
+    m = np.asarray(m)
+    lmin = min_eig(m)
+    return lmin >= psd_threshold(float(np.abs(m).max())), lmin
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -7,19 +7,23 @@ an assignment produces are Hermitian and unit trace but deliberately NOT
 guaranteed PSD; callers validate, because negative outputs are exactly the
 phenomenon under study.
 
-Affine maps are held as (linear part, constant part) and audited for
-convex-mixture linearity; tabulated maps are defined on finitely many states
-and extended (or shown non-extendable) by :func:`extend_linearly`.
+Every totally defined assignment is an :class:`AffineAssignment`, held as
+(linear part, constant part) and applied by one matrix product with its
+action matrix, which is derived from the two at construction.
+:class:`ProductAssignment` is a constructor for the affine map with zero
+constant, rho -> rho (x) rho_R. Tabulated maps are defined on finitely many
+states and extended (or shown non-extendable) by :func:`extend_linearly`.
 
 A :class:`ReducedDynamics` diagonalises its Hamiltonian once and a lambda
 ``compatdomain.DomainQuery`` builds its reduced map once. So that these
 caches cannot go stale, the matrices they derive from (the generator,
-``rho_r``, ``linear``, ``constant``) are stored as read-only copies.
+``rho_r``, ``linear``, ``constant`` and the action matrix) are stored as
+read-only copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,29 +62,7 @@ def _readonly(m) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class ProductAssignment:
-    """rho_S -> rho_S (x) rho_R with a fixed reservoir state."""
-
-    rho_r: np.ndarray
-    d_s: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho_r", _readonly(self.rho_r))
-
-    @property
-    def d_r(self) -> int:
-        return self.rho_r.shape[0]
-
-    def __call__(self, rho_s: np.ndarray) -> np.ndarray:
-        return kron(rho_s, self.rho_r)
-
-    def apply_batch(self, rhos: np.ndarray) -> np.ndarray:
-        m = self.d_s * self.d_r
-        return np.einsum("nab,cd->nacbd", rhos, self.rho_r).reshape(rhos.shape[0], m, m)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineAssignment:
     """rho_S -> L(rho_S) + tr(rho_S) * K.
 
@@ -89,32 +71,58 @@ class AffineAssignment:
     unit-trace states this realizes a general affine assignment while staying
     linear as a map of matrices, so transfer-matrix machinery applies
     directly.
+
+    ``action`` is the same map on row-major flattened matrices with the
+    constant folded in: row (i, j), column (p, q) holds Phi(E_ij)[p, q].
     """
 
     linear: np.ndarray
     constant: np.ndarray
     d_s: int
     d_r: int
+    action: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", _readonly(self.linear))
-        object.__setattr__(self, "constant", _readonly(self.constant))
+        d_s, n = self.d_s, self.d_s * self.d_r
+        linear, constant = _readonly(self.linear), _readonly(self.constant)
+        if linear.shape != (n * n, d_s * d_s) or constant.shape != (n, n):
+            raise ValueError(
+                f"linear {linear.shape} / constant {constant.shape} do not match "
+                f"d_s={d_s}, d_r={self.d_r}"
+            )
+        # linear[(q, p), (j, i)] = L(E_ij)[p, q]; tr(E_ij) = delta_ij carries K
+        action = linear.reshape(n, n, d_s, d_s).transpose(3, 2, 1, 0).reshape(d_s**2, n * n)
+        action = action + np.eye(d_s).reshape(-1, 1) * constant.reshape(-1)
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "action", _readonly(action))
 
     def __call__(self, rho_s: np.ndarray) -> np.ndarray:
-        n = self.d_s * self.d_r
-        out = unvec(self.linear @ vec(rho_s), n)
-        return out + np.trace(rho_s) * self.constant
+        return self.apply_batch(np.asarray(rho_s)[None])[0]
 
     def apply_batch(self, rhos: np.ndarray) -> np.ndarray:
         n = self.d_s * self.d_r
-        m = rhos.shape[0]
-        vecs = rhos.transpose(0, 2, 1).reshape(m, -1)
-        outs = (vecs @ self.linear.T).reshape(m, n, n).transpose(0, 2, 1)
-        traces = np.trace(rhos, axis1=1, axis2=2)
-        return outs + traces[:, None, None] * self.constant
+        return (rhos.reshape(rhos.shape[0], -1) @ self.action).reshape(-1, n, n)
 
 
-@dataclass(frozen=True)
+class ProductAssignment(AffineAssignment):
+    """rho_S -> rho_S (x) rho_R with a fixed reservoir state: the affine
+    assignment with zero constant."""
+
+    def __init__(self, rho_r: np.ndarray, d_s: int = 2):
+        rho_r = _readonly(rho_r)
+        if rho_r.ndim != 2 or rho_r.shape[0] != rho_r.shape[1]:
+            raise ValueError(f"reservoir state must be a square matrix, got shape {rho_r.shape}")
+        d_r = rho_r.shape[0]
+        n = d_s * d_r
+        # column (j, i) is vec(E_ij (x) rho_r): entry (b, y, a, x) is delta_ai delta_bj rho_r[x, y]
+        eye = np.eye(d_s)
+        linear = np.einsum("ai,bj,xy->byaxji", eye, eye, rho_r).reshape(n**2, d_s**2)
+        object.__setattr__(self, "rho_r", rho_r)
+        super().__init__(linear=linear, constant=np.zeros((n, n)), d_s=d_s, d_r=d_r)
+
+
+@dataclass(frozen=True, eq=False)
 class TabulatedAssignment:
     """Assignment defined only on finitely many states; no implicit extension.
 
@@ -149,18 +157,7 @@ class TabulatedAssignment:
         return self.lookup(rho_s)
 
 
-AssignmentMap = ProductAssignment | AffineAssignment | TabulatedAssignment
-
-
-def product_as_affine(phi: ProductAssignment) -> AffineAssignment:
-    """Transfer-matrix form of rho -> rho (x) tau: column (j, i) is
-    vec(E_ij (x) tau), whose entry (b, y, a, x) is delta_ai delta_bj tau[x, y]."""
-    d_s, d_r = phi.d_s, phi.d_r
-    n = d_s * d_r
-    eye = np.eye(d_s)
-    lin = np.einsum("ai,bj,xy->byaxji", eye, eye, phi.rho_r).reshape(n**2, d_s**2)
-    return AffineAssignment(linear=lin, constant=np.zeros((n, n), dtype=complex),
-                            d_s=d_s, d_r=d_r)
+AssignmentMap = AffineAssignment | TabulatedAssignment
 
 
 def correlated_assignment(c: float, d_s: int = 2) -> AffineAssignment:
@@ -173,8 +170,9 @@ def correlated_assignment(c: float, d_s: int = 2) -> AffineAssignment:
         raise ValueError("correlated_assignment is a qubit-qubit family")
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation strength c={c} outside [-1, 1]")
-    base = product_as_affine(ProductAssignment(rho_r=states.I2 / 2.0, d_s=2))
-    return replace(base, constant=(c / 4.0) * kron(states.SIGMA_Z, states.SIGMA_Z))
+    return AffineAssignment(linear=ProductAssignment(rho_r=states.I2 / 2.0).linear,
+                            constant=(c / 4.0) * kron(states.SIGMA_Z, states.SIGMA_Z),
+                            d_s=2, d_r=2)
 
 
 def dephasing_assignment(rho_r: np.ndarray, d_s: int = 2) -> AffineAssignment:
@@ -183,9 +181,10 @@ def dephasing_assignment(rho_r: np.ndarray, d_s: int = 2) -> AffineAssignment:
     The z-dephasing kills coherences before attaching the reservoir, so
     tr_R(Phi rho) != rho whenever rho has off-diagonal terms.
     """
-    prod = product_as_affine(ProductAssignment(rho_r=rho_r, d_s=d_s))
+    prod = ProductAssignment(rho_r=rho_r, d_s=d_s)
     # vec(I) keeps the columns of the diagonal units; off-diagonal ones map to zero
-    return replace(prod, linear=prod.linear * vec(np.eye(d_s)).real)
+    return AffineAssignment(linear=prod.linear * vec(np.eye(d_s)).real,
+                            constant=prod.constant, d_s=d_s, d_r=prod.d_r)
 
 
 def assign(phi: AssignmentMap, rho_s: np.ndarray) -> np.ndarray:
@@ -197,7 +196,7 @@ def assign(phi: AssignmentMap, rho_s: np.ndarray) -> np.ndarray:
     return phi(rho_s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsistencyReport:
     max_residual: float
     worst_probe: np.ndarray = field(repr=False)
@@ -237,23 +236,16 @@ def check_linearity(phi: AssignmentMap, probes) -> LinearityReport:
     undefined = 0
     for rho1, rho2, lam in probes:
         mix = lam * rho1 + (1.0 - lam) * rho2
-        if isinstance(phi, TabulatedAssignment):
-            try:
-                img_mix = phi.lookup(mix)
-                img1 = phi.lookup(rho1)
-                img2 = phi.lookup(rho2)
-            except KeyError:
-                undefined += 1
-                continue
-        else:
-            img_mix = assign(phi, mix)
-            img1 = assign(phi, rho1)
-            img2 = assign(phi, rho2)
+        try:
+            img_mix, img1, img2 = [assign(phi, rho) for rho in (mix, rho1, rho2)]
+        except KeyError:  # a table lookup outside the table
+            undefined += 1
+            continue
         worst = max(worst, trace_norm(img_mix - lam * img1 - (1.0 - lam) * img2))
     return LinearityReport(max_residual=worst, undefined_probes=undefined)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedDynamics:
     """An assignment map plus a joint generator.
 
@@ -313,7 +305,7 @@ def reduced_map(rd: ReducedDynamics, t: float) -> Superoperator:
     return Superoperator(dim_in=d_s, dim_out=d_s, transfer=transfer)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conflict:
     """Witness that a tabulated map admits no linear extension: two convex
     decompositions of the same state whose images differ."""
@@ -393,7 +385,7 @@ def extend_linearly(tab: TabulatedAssignment) -> ExtensionResult:
     null_mask = np.concatenate([sv, np.zeros(p.shape[1] - len(sv))]) <= 1e-10
     if not null_mask.any():
         # residual without an affine dependency should not happen for valid
-        # tables; report it as a conflict with an empty witness anyway
+        # tables; without a dependency there is no witness to report
         raise RuntimeError("interpolation residual without a state-side null vector")
     best = None
     for c in vh[np.where(null_mask)[0], :]:
@@ -460,7 +452,7 @@ def pechukas_witness(
     return certify_violation(phi, best_val, best_vec, samples).witness, best_val
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryReport:
     """Comparison of the true reduced trajectory with the assignment proxy.
 

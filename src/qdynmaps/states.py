@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .config import psd_threshold, tolerance
+from .config import tolerance
 
 __all__ = [
     "I2",
@@ -135,14 +135,14 @@ def validate(m: np.ndarray) -> Diagnostic:
         raise ValueError(f"validate expects a square matrix, got shape {m.shape}")
     herm_res = matcore.hermiticity_residual(m)
     trace_res = float(abs(np.trace(m) - 1.0))
-    lmin = matcore.min_eig(m)
+    psd, lmin = matcore.psd_verdict(m)
     tol = tolerance()
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     if herm_res > tol * scale:
         verdict = "non-hermitian"
     elif trace_res > tol * scale:
         verdict = "non-unit-trace"
-    elif lmin < psd_threshold(float(np.abs(m).max())):
+    elif not psd:
         verdict = "negative"
     else:
         verdict = "valid"

@@ -36,7 +36,6 @@ from qdynmaps.opendyn import (
     extend_linearly,
     inconsistency_analysis,
     pechukas_witness,
-    product_as_affine,
     reduced_map,
 )
 from qdynmaps.states import I2, PAULIS, SIGMA_X, SIGMA_Z, from_bloch, singlet, to_bloch
@@ -69,7 +68,7 @@ def verdict(label: str, ok: bool) -> None:
 
 def random_consistent_affine(rng, target_center_margin=0.01):
     tau = 0.7 * states.random_density(2, rng) + 0.3 * I2 / 2
-    base = product_as_affine(ProductAssignment(rho_r=tau, d_s=2))
+    base = ProductAssignment(rho_r=tau, d_s=2)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = (g + g.conj().T) / 2
     k = g - kron(partial_trace(g, (2, 2)), I2 / 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdynmaps import channels, matcore, states
+from qdynmaps import channels, config, matcore, states
 from qdynmaps.channels import (
     KrausSet,
     Superoperator,
@@ -325,3 +325,16 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             superoperator_from_json({"dim_in": 2})
+
+
+class TestTolerance:
+    def test_trace_preservation_and_unitality_follow_tolerance(self):
+        t = Superoperator(dim_in=2, dim_out=2, transfer=(1 + 1e-6) * np.eye(4, dtype=complex))
+        assert not t.is_trace_preserving() and not t.is_unital()
+        before = config.tolerance()
+        config.set_tolerance(1e-3)
+        try:
+            assert is_cp(t).is_cp
+            assert t.is_trace_preserving() and t.is_unital()
+        finally:
+            config.set_tolerance(before)

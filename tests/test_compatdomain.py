@@ -18,7 +18,6 @@ from qdynmaps.opendyn import (
     ReducedDynamics,
     assign,
     correlated_assignment,
-    product_as_affine,
 )
 from qdynmaps.states import I2, SIGMA_Z, from_bloch
 
@@ -54,6 +53,12 @@ class TestMembership:
         for _ in range(50):
             assert membership(q, states.random_density(2, rng))[0]
 
+    def test_reduced_dynamics_on_another_assignment_rejected(self):
+        rd = ReducedDynamics(phi=ProductAssignment(rho_r=I2 / 2, d_s=2),
+                             generator=("unitary", CNOT_R_CONTROLS_S))
+        with pytest.raises(ValueError, match="different assignment"):
+            DomainQuery(phi=correlated_assignment(0.9), predicate="lambda", rd=rd, t=1.0)
+
     def test_phi_membership_implies_lambda_membership(self):
         rng = np.random.default_rng(1)
         qp, ql = phi_query(), lambda_query()
@@ -86,7 +91,7 @@ class TestBoundaryRadius:
         assert abs(boundary_radius(q, (0, 0, 1)) - 1.0) < 1e-8
 
     def test_empty_interior_rejected(self):
-        base = product_as_affine(ProductAssignment(rho_r=I2 / 2, d_s=2))
+        base = ProductAssignment(rho_r=I2 / 2, d_s=2)
         phi = AffineAssignment(
             linear=base.linear,
             constant=0.6 * kron(SIGMA_Z, SIGMA_Z),

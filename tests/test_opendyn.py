@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qdynmaps import channels, matcore, opendyn, states
+from qdynmaps import channels, compatdomain, matcore, opendyn, states
+from qdynmaps.channels import unvec, vec
 from qdynmaps.matcore import kron, partial_trace, trace_norm
 from qdynmaps.opendyn import (
     AffineAssignment,
@@ -54,7 +55,7 @@ def random_consistent_affine(rng, target_center_margin=0.01):
     # keep the reservoir state away from the cone boundary so the shrinking
     # loop below terminates
     tau = 0.7 * states.random_density(2, rng) + 0.3 * I2 / 2
-    base = opendyn.product_as_affine(ProductAssignment(rho_r=tau, d_s=2))
+    base = ProductAssignment(rho_r=tau, d_s=2)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     g = (g + g.conj().T) / 2
     k = g - kron(partial_trace(g, (2, 2)), I2 / 2)  # now tr_R k = 0
@@ -95,6 +96,42 @@ class TestAssign:
         joint = assign(phi, from_bloch((0.2, -0.3, 0.4)))
         assert abs(np.trace(joint) - 1.0) < 1e-12
         assert matcore.is_hermitian(joint)
+
+    def test_non_square_reservoir_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            ProductAssignment(rho_r=np.ones((2, 3)), d_s=2)
+
+    def test_mismatched_affine_shapes_rejected(self):
+        with pytest.raises(ValueError, match="do not match"):
+            AffineAssignment(linear=np.zeros((16, 3)), constant=np.zeros((4, 4)), d_s=2, d_r=2)
+        with pytest.raises(ValueError, match="do not match"):
+            AffineAssignment(linear=np.zeros((16, 4)), constant=np.zeros((2, 8)), d_s=2, d_r=2)
+
+
+class TestApplyPath:
+    """Both ways of applying an assignment agree with L vec(rho) + tr(rho) K."""
+
+    @pytest.mark.parametrize("d_r", [2, 3])
+    @pytest.mark.parametrize("d_s", [2, 3])
+    def test_matches_affine_formula(self, d_s, d_r):
+        rng = np.random.default_rng(10 * d_s + d_r)
+        n = d_s * d_r
+        tau = states.random_density(d_r, rng)
+        lin = rng.standard_normal((n * n, d_s * d_s)) + 1j * rng.standard_normal((n * n, d_s * d_s))
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        k = (g + g.conj().T) / 2
+        prod = ProductAssignment(rho_r=tau, d_s=d_s)
+        rhos = np.stack([states.random_density(d_s, rng) for _ in range(10)])
+        rhos[::2] *= 2.5  # tr(rho) != 1 scales the constant
+        for phi in (prod, dephasing_assignment(tau, d_s=d_s),
+                    AffineAssignment(linear=lin, constant=k, d_s=d_s, d_r=d_r)):
+            batch = phi.apply_batch(rhos)
+            for rho, out in zip(rhos, batch):
+                ref = unvec(phi.linear @ vec(rho), n) + np.trace(rho) * phi.constant
+                assert np.abs(out - ref).max() <= 1e-14
+                assert np.abs(phi(rho) - ref).max() <= 1e-14
+                if phi is prod:
+                    assert np.abs(out - kron(rho, tau)).max() <= 1e-14
 
 
 class TestConsistency:
@@ -371,3 +408,40 @@ class TestAssignmentJson:
                 d_s=2,
                 d_r=2,
             )
+
+
+def _extension_conflict():
+    return extend_linearly(four_state_table()).conflict
+
+
+def _landscape():
+    return compatdomain.landscape(compatdomain.DomainQuery(phi=correlated_assignment(0.5)))
+
+
+ARRAY_DATACLASSES = {
+    "AffineAssignment": lambda: correlated_assignment(0.5),
+    "ProductAssignment": lambda: ProductAssignment(rho_r=I2 / 2, d_s=2),
+    "TabulatedAssignment": four_state_table,
+    "ReducedDynamics": lambda: ReducedDynamics(
+        phi=correlated_assignment(0.5), generator=("unitary", CNOT_R_CONTROLS_S)),
+    "ConsistencyReport": lambda: check_consistency(correlated_assignment(0.5), [I2 / 2]),
+    "Conflict": _extension_conflict,
+    "TrajectoryReport": lambda: inconsistency_analysis(
+        dephasing_assignment(I2 / 2), kron(I2 / 2, I2 / 2),
+        ("unitary", CNOT_R_CONTROLS_S), [0.0, 1.0]),
+    "DomainQuery": lambda: compatdomain.DomainQuery(phi=correlated_assignment(0.5)),
+    "DomainReport": _landscape,
+    "Superoperator": lambda: channels.identity_superoperator(2),
+    "KrausSet": lambda: channels.random_cptp(2, np.random.default_rng(0)),
+    "PositivityReport": lambda: channels.is_positive_map(
+        channels.identity_superoperator(2), budget=10),
+    "HermEig": lambda: matcore.herm_eig(SIGMA_Z),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_DATACLASSES))
+def test_array_dataclasses_compare_and_hash_by_identity(name):
+    a, b = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

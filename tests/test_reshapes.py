@@ -137,7 +137,7 @@ def test_transpose_superoperator_matches_loop(dim):
 @pytest.mark.parametrize("d_s", [2, 3])
 def test_product_and_dephasing_linear_parts_match_loop(d_s, d_r):
     tau = states.random_density(d_r, np.random.default_rng(d_s * d_r))
-    prod = opendyn.product_as_affine(opendyn.ProductAssignment(rho_r=tau, d_s=d_s))
+    prod = opendyn.ProductAssignment(rho_r=tau, d_s=d_s)
     assert np.array_equal(prod.linear, ref_reservoir_linear(tau, d_s, dephase=False))
     deph = opendyn.dephasing_assignment(tau, d_s=d_s)
     assert np.array_equal(deph.linear, ref_reservoir_linear(tau, d_s, dephase=True))
