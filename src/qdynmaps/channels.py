@@ -4,11 +4,22 @@ Vectorization is column-stacking, so the transfer matrix of rho -> A rho B^dag
 is conj(B) (x) A. The Choi matrix uses the unnormalized convention
 C = sum_ij E_ij (x) T(E_ij), so tr C = dim_in for trace-preserving maps and
 Kraus weights read directly off Choi eigenvalues.
+
+Positivity audits are decided from the Choi spectrum where it settles them,
+and searched otherwise (``PositivityReport.certificate`` says which):
+
+- a CP map is n-positive for every n, so :func:`is_positive_map` and
+  :func:`is_n_positive` return "no-violation-found" at once;
+- for n >= dim_in, n-positivity is complete positivity (Choi 1975), so
+  :func:`is_n_positive` builds its witness from the bottom Choi eigenvector;
+- everything else (positivity of an NCP map, n-positivity of an NCP map with
+  n < dim_in) is a seeded pure-state search, whose "no-violation-found" is
+  not a proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,10 +155,12 @@ class KrausSet:
 class PositivityReport:
     """Outcome of a CP or positivity audit.
 
-    ``is_positive`` is a search verdict ("certified-violation" or
-    "no-violation-found"), never a proof of positivity; ``witness`` is a
-    state whose image has a negative eigenvalue when a violation is
-    certified.
+    ``is_positive`` is "certified-violation" or "no-violation-found";
+    ``witness`` is a state whose image has a negative eigenvalue when a
+    violation is certified. ``certificate`` is "choi" when the verdict was
+    decided from the Choi spectrum (``min_choi_eigenvalue`` decided it and
+    ``samples_used`` is 0) and None when a search ran, whose
+    "no-violation-found" is not a proof of positivity.
     """
 
     min_choi_eigenvalue: float | None = None
@@ -156,6 +169,7 @@ class PositivityReport:
     witness: np.ndarray | None = field(default=None, repr=False)
     witness_min_eigenvalue: float | None = None
     samples_used: int = 0
+    certificate: str | None = None
 
 
 def transfer_from_kraus(k: KrausSet | list | tuple) -> Superoperator:
@@ -216,12 +230,12 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int,
 
 
 def is_cp(t: Superoperator) -> PositivityReport:
-    """Complete-positivity verdict from the Choi spectrum."""
+    """Complete-positivity verdict from the Choi spectrum (``certificate="choi"``)."""
     c = choi_of(t)
     psd, lmin = matcore.psd_verdict(c)
     # a map that is not Hermiticity-preserving is certainly not CP
     return PositivityReport(min_choi_eigenvalue=lmin,
-                            is_cp=bool(matcore.is_hermitian(c) and psd))
+                            is_cp=bool(matcore.is_hermitian(c) and psd), certificate="choi")
 
 
 # -- pure-state violation search ---------------------------------------------
@@ -318,16 +332,29 @@ def certify_violation(apply, best_val: float, best_vec: np.ndarray,
     return PositivityReport(is_positive="no-violation-found", samples_used=samples)
 
 
-def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> PositivityReport:
-    """Search pure inputs for an output with a negative eigenvalue.
+def _with_choi(rep: PositivityReport, cp: PositivityReport,
+               certificate: str | None = None) -> PositivityReport:
+    """rep carrying the CP verdict and Choi eigenvalue of cp."""
+    return replace(rep, min_choi_eigenvalue=cp.min_choi_eigenvalue, is_cp=cp.is_cp,
+                   certificate=certificate)
 
-    "certified-violation" carries a witness whose image genuinely fails PSD;
-    "no-violation-found" only reports search exhaustion, not a proof.
+
+def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> PositivityReport:
+    """Positivity verdict: decided for CP maps, searched otherwise.
+
+    A CP map is positive: "no-violation-found" with ``certificate="choi"``.
+    For an NCP map, pure inputs are searched for an output with a negative
+    eigenvalue: "certified-violation" carries a witness whose image
+    genuinely fails PSD; "no-violation-found" only reports search
+    exhaustion, not a proof.
     """
+    cp = is_cp(t)
+    if cp.is_cp:
+        return replace(cp, is_positive="no-violation-found")
     best_val, best_vec, samples = minimize_output_min_eig(
         t.apply_batch, t.dim_in, budget=budget, seed=seed
     )
-    return certify_violation(t.apply, best_val, best_vec, samples)
+    return _with_choi(certify_violation(t.apply, best_val, best_vec, samples), cp)
 
 
 def extend_with_identity(t: Superoperator, n: int) -> Superoperator:
@@ -344,18 +371,47 @@ def extend_with_identity(t: Superoperator, n: int) -> Superoperator:
                          transfer=transfer.reshape(dout_c**2, din_c**2))
 
 
-def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -> PositivityReport:
-    """Falsification search for n-positivity of t via T (x) I_n.
+def _choi_witness(t: Superoperator, n: int) -> np.ndarray:
+    """Unit input of T (x) I_n (ordering S (x) W) built from the bottom Choi
+    eigenvector; needs n >= min(dim_in, dim_out) and a Hermitian Choi matrix.
 
-    For n >= dim_in the verdict must agree with is_cp (k-positivity is
-    complete positivity for k-state systems); the maximally entangled state
-    is always included among the candidates.
+    Reshape that eigenvector to Y[i, a] (input i, output a) and take the SVD
+    Y = U S V^dag. Then psi = conj(U) sqrt(S), in the first levels of W,
+    and phi = conj(V) sqrt(S) give <phi|(T (x) I)(psi psi^dag)|phi> =
+    lambda_min(C) / (sum S)^2 for unit psi and phi. As (sum S)^2 <= dim_in,
+    the minimum eigenvalue of the image is at most lambda_min(C) / dim_in,
+    the value of the maximally entangled input.
+    """
+    d_in, d_out = t.dim_in, t.dim_out
+    y = matcore.herm_eig(choi_of(t)).eigenvectors[:, 0].reshape(d_in, d_out)
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    psi = np.zeros((d_in, n), dtype=complex)
+    psi[:, : s.size] = u.conj() * np.sqrt(s)
+    return psi.reshape(-1) / np.linalg.norm(psi)
+
+
+def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -> PositivityReport:
+    """n-positivity verdict for t, through T (x) I_n.
+
+    Decided from the Choi spectrum (``certificate="choi"``, no samples) when
+    t is CP, which makes it n-positive for every n, and when n >= dim_in,
+    where n-positivity is complete positivity: the witness is
+    :func:`_choi_witness` and its value the minimum eigenvalue of its image.
+    Otherwise a falsification search runs, with the maximally entangled
+    state among its candidates.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return is_positive_map(t, budget=budget, seed=seed)
+    cp = is_cp(t)
+    if cp.is_cp:
+        return replace(cp, is_positive="no-violation-found")
     comp = extend_with_identity(t, n)
+    if n >= t.dim_in and matcore.is_hermitian(choi_of(t)):
+        psi = _choi_witness(t, n)
+        value = matcore.min_eig(comp.apply(states.projector(psi)))
+        return _with_choi(certify_violation(comp.apply, value, psi, 0), cp, "choi")
     k = min(t.dim_in, n)
     ent = np.zeros(t.dim_in * n, dtype=complex)
     ent[np.arange(k) * (n + 1)] = 1.0  # sum_i |i>|i> over the first k levels
@@ -367,7 +423,7 @@ def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -
         seed=seed,
         extra_candidates=ent[None, :],
     )
-    return certify_violation(comp.apply, best_val, best_vec, samples)
+    return _with_choi(certify_violation(comp.apply, best_val, best_vec, samples), cp)
 
 
 def adjoint_map(t: Superoperator) -> Superoperator:

@@ -69,21 +69,26 @@ def cmd_check(args) -> int:
             raise CliError(str(exc))
         tp = t.is_trace_preserving()
         unital = t.is_unital()
-        cp = channels.is_cp(t)
+        # the positivity report carries the CP verdict it was decided or searched from
         pos = channels.is_positive_map(t, budget=args.budget, seed=args.seed)
         print(f"TP: {'yes' if tp else 'NO'}")
         print(f"unital: {'yes' if unital else 'no'}")
-        print(f"CP: {'yes' if cp.is_cp else 'NO'} (Choi lmin = {cp.min_choi_eigenvalue:.6f})")
-        print(f"positivity search: {pos.is_positive} ({pos.samples_used} samples)")
-        negative = (not tp) or (not cp.is_cp) or pos.is_positive == "certified-violation"
+        print(f"CP: {'yes' if pos.is_cp else 'NO'} (Choi lmin = {pos.min_choi_eigenvalue:.6f})")
+        if pos.certificate == "choi":
+            print(f"positivity: {pos.is_positive}"
+                  " (decided from the Choi spectrum: CP maps are positive)")
+        else:
+            print(f"positivity search: {pos.is_positive} ({pos.samples_used} samples)")
+        negative = (not tp) or (not pos.is_cp) or pos.is_positive == "certified-violation"
         report.update({
             "type": "superoperator",
             "trace_preserving": tp,
             "unital": unital,
-            "cp": cp.is_cp,
-            "min_choi_eigenvalue": cp.min_choi_eigenvalue,
+            "cp": pos.is_cp,
+            "min_choi_eigenvalue": pos.min_choi_eigenvalue,
             "positivity": pos.is_positive,
             "samples_used": pos.samples_used,
+            "certificate": pos.certificate,
         })
     elif "variant" in obj:
         try:
@@ -343,8 +348,8 @@ def cmd_reduce(args) -> int:
             "superoperator": channels.superoperator_to_json(lam),
         }
         if phi.d_s == 2:
-            q = compatdomain.DomainQuery(phi=phi, predicate="lambda", rd=rd, t=float(t))
-            member, lmin = compatdomain.membership(q, states.I2 / 2.0)
+            # lambda-membership of I/2, from the map already built
+            member, lmin = matcore.psd_verdict(lam.apply(states.I2 / 2.0))
             entry["center_member"] = member
             entry["center_min_eigenvalue"] = lmin
             center = f", center member: {member} (lmin {lmin:.6f})"

@@ -84,6 +84,8 @@ class AffineAssignment:
 
     def __post_init__(self):
         d_s, n = self.d_s, self.d_s * self.d_r
+        if d_s < 1 or self.d_r < 1:
+            raise ValueError(f"dimensions must be positive, got d_s={d_s}, d_r={self.d_r}")
         linear, constant = _readonly(self.linear), _readonly(self.constant)
         if linear.shape != (n * n, d_s * d_s) or constant.shape != (n, n):
             raise ValueError(
@@ -138,6 +140,13 @@ class TabulatedAssignment:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("tabulated assignment needs at least one pair")
+        n = self.d_s * self.d_r
+        for rho_s, rho_sr in self.pairs:
+            if np.shape(rho_s) != (self.d_s, self.d_s) or np.shape(rho_sr) != (n, n):
+                raise ValueError(
+                    f"table pair shapes {np.shape(rho_s)}, {np.shape(rho_sr)} do not match "
+                    f"d_s={self.d_s}, d_r={self.d_r}"
+                )
         if not self.inconsistent:
             for rho_s, rho_sr in self.pairs:
                 res = trace_norm(partial_trace(rho_sr, (self.d_s, self.d_r)) - rho_s)
@@ -529,7 +538,10 @@ def assignment_from_json(obj: dict) -> AssignmentMap:
     except KeyError as exc:
         raise ValueError(f"assignment object missing field {exc}") from exc
     if variant == "product":
-        return ProductAssignment(rho_r=states.matrix_from_json(obj["reservoir"]), d_s=d_s)
+        phi = ProductAssignment(rho_r=states.matrix_from_json(obj["reservoir"]), d_s=d_s)
+        if phi.d_r != d_r:
+            raise ValueError(f"product reservoir is {phi.d_r}-dimensional, declared d_r={d_r}")
+        return phi
     if variant == "affine":
         return AffineAssignment(
             linear=states.matrix_from_json(obj["linear"]),

@@ -75,7 +75,8 @@ def map_cases() -> list[tuple[str, str, Superoperator]]:
                            (4, 0.2), (4, 2.5))]
     for d in (2, 3):
         for p in (0.2, 0.5, 0.8):
-            t = p * channels.transpose_superoperator(d).transfer + (1 - p) * _cptp(d, 10 + d).transfer
+            t = (p * channels.transpose_superoperator(d).transfer
+                 + (1 - p) * _cptp(d, 10 + d).transfer)
             cases.append((f"transpose-mixture-{d}-p{p}", "transpose-mixture", _transfer_map(t, d)))
     # flip + depolarising noise: Choi lmin = 1.5p - 1 placed at -tol + offset
     flip, dep = channels.flip_superoperator().transfer, _depolarising(2).transfer

@@ -222,6 +222,76 @@ class TestNPositivity:
         )
 
 
+def _transpose_mixture(d: int, p: float, seed: int) -> Superoperator:
+    """p * transpose + (1 - p) * random CPTP: NCP for most p and seeds."""
+    cptp = transfer_from_kraus(random_cptp(d, np.random.default_rng(seed)))
+    return Superoperator(dim_in=d, dim_out=d, transfer=p * transpose_superoperator(d).transfer
+                         + (1 - p) * cptp.transfer)
+
+
+class TestDecidedPositivity:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cp_maps_decided_without_samples(self, d, n):
+        t = transfer_from_kraus(random_cptp(d, np.random.default_rng(10 * d + n)))
+        cp = is_cp(t)
+        for rep in (is_n_positive(t, n, budget=300), is_positive_map(t, budget=300)):
+            assert rep.is_positive == "no-violation-found"
+            assert rep.certificate == "choi" and rep.samples_used == 0
+            assert rep.is_cp and rep.min_choi_eigenvalue == cp.min_choi_eigenvalue
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+    def test_ncp_witness_from_choi_spectrum(self, d, extra, p):
+        t = _transpose_mixture(d, p, seed=d)
+        lam = is_cp(t).min_choi_eigenvalue
+        assert lam < 0
+        n = d + extra
+        rep = is_n_positive(t, n, budget=300)
+        assert rep.certificate == "choi" and rep.samples_used == 0
+        assert rep.is_cp is False and rep.min_choi_eigenvalue == lam
+        assert rep.is_positive == "certified-violation"
+        # no worse than the maximally entangled input, and the value of its own image
+        assert rep.witness_min_eigenvalue <= lam / d + 1e-12
+        image = extend_with_identity(t, n).apply(rep.witness)
+        assert abs(matcore.min_eig(image) - rep.witness_min_eigenvalue) <= 1e-12
+        assert abs(np.trace(rep.witness) - 1.0) <= 1e-12
+
+    # The Choi matrix of the transpose is the swap, whose bottom eigenspace is
+    # the antisymmetric subspace. At d = 2, 3 every antisymmetric vector has two
+    # equal singular values, so the witness value is exactly -1/2; at d = 4 it
+    # depends on which vector of that space the eigensolver returns.
+    @pytest.mark.parametrize("t, n", [
+        pytest.param(transpose_superoperator(2), 2, id="transpose-2-n2"),
+        pytest.param(transpose_superoperator(3), 3, id="transpose-3-n3"),
+        pytest.param(transpose_superoperator(3), 4, id="transpose-3-n4"),
+        pytest.param(flip_superoperator(), 2, id="flip-n2"),
+        pytest.param(flip_superoperator(), 3, id="flip-n3"),
+    ])
+    def test_transpose_and_flip_exact(self, t, n):
+        rep = is_n_positive(t, n, budget=300)
+        assert rep.certificate == "choi"
+        assert abs(rep.witness_min_eigenvalue + 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("t, n", [
+        pytest.param(transpose_superoperator(3), 2, id="transpose-3-n2"),
+        pytest.param(transpose_superoperator(4), 3, id="transpose-4-n3"),
+        pytest.param(_transpose_mixture(3, 0.6, seed=3), 2, id="mixture-3-n2"),
+    ])
+    def test_ncp_below_dim_in_still_searches(self, t, n):
+        rep = is_n_positive(t, n, budget=300)
+        assert rep.certificate is None and rep.samples_used >= 300
+        assert rep.is_cp is False
+
+    @pytest.mark.parametrize("t", [flip_superoperator(), transpose_superoperator(3),
+                                   scaled_z_map(1.2)], ids=["flip", "transpose-3", "scaled-z"])
+    def test_positivity_of_ncp_maps_still_searches(self, t):
+        rep = is_positive_map(t, budget=300)
+        assert rep.certificate is None and rep.samples_used >= 300
+        assert rep.is_cp is False
+
+
 class TestAdjoint:
     def test_unitary_adjoint(self):
         rng = np.random.default_rng(8)

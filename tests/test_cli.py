@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdynmaps import channels, config, matcore, opendyn, states
+from qdynmaps import channels, compatdomain, config, matcore, opendyn, states
 from qdynmaps.cli import main
 
 CNOT_R_CONTROLS_S = np.array(
@@ -79,6 +79,27 @@ class TestCheck:
         rep = json.loads(out.read_text())
         assert rep["negative_finding"] is True
         assert abs(rep["min_choi_eigenvalue"] + 1.0) < 1e-9
+
+
+class TestCheckCertificate:
+    def test_cp_map_decided_from_choi(self, tmp_path, capsys):
+        f = write_json(
+            tmp_path, "id.json",
+            channels.superoperator_to_json(channels.identity_superoperator(2)),
+        )
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "check", f]) == 0
+        assert "decided from the Choi spectrum" in capsys.readouterr().out
+        rep = json.loads(out.read_text())
+        assert rep["certificate"] == "choi" and rep["samples_used"] == 0
+        assert rep["positivity"] == "no-violation-found"
+
+    def test_ncp_map_searched(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "check", flip_file(tmp_path), "--budget", "500"]) == 2
+        assert "positivity search: no-violation-found" in capsys.readouterr().out
+        rep = json.loads(out.read_text())
+        assert rep["certificate"] is None and rep["samples_used"] >= 500
 
 
 class TestInputErrors:
@@ -168,6 +189,30 @@ class TestReduce:
         assert abs(rep["maps"][1]["min_choi_eigenvalue"] - (2 - np.sqrt(5)) / 4) < 1e-9
         lam = channels.superoperator_from_json(rep["maps"][1]["superoperator"])
         assert lam.is_trace_preserving()
+
+    def test_each_reduced_map_built_once(self, tmp_path, monkeypatch):
+        f = write_json(
+            tmp_path, "corr.json",
+            opendyn.assignment_to_json(opendyn.correlated_assignment(0.5)),
+        )
+        calls = []
+        build = opendyn.reduced_map
+
+        def counted(rd, t):
+            calls.append(t)
+            return build(rd, t)
+
+        monkeypatch.setattr(opendyn, "reduced_map", counted)
+        monkeypatch.setattr(compatdomain, "reduced_map", counted)
+        assert main(["reduce", f, unitary_generator_file(tmp_path), "--times", "0:1:4"]) == 2
+        assert calls == np.linspace(0.0, 1.0, 4).tolist()
+
+    def test_product_file_with_wrong_reservoir_dimension(self, tmp_path, capsys):
+        obj = opendyn.assignment_to_json(opendyn.ProductAssignment(rho_r=states.I2 / 2, d_s=2))
+        f = write_json(tmp_path, "prod.json", {**obj, "d_r": 3})
+        g = unitary_generator_file(tmp_path)
+        assert main(["reduce", f, g]) == 1
+        assert "declared d_r=3" in capsys.readouterr().err
 
     def test_product_hamiltonian_clean(self, tmp_path):
         f = write_json(

@@ -400,6 +400,22 @@ class TestAssignmentJson:
         assert isinstance(back, TabulatedAssignment)
         assert back.inconsistent
 
+    def test_product_reservoir_must_match_declared_dims(self):
+        obj = assignment_to_json(ProductAssignment(rho_r=I2 / 2, d_s=2))
+        with pytest.raises(ValueError, match="declared d_r=3"):
+            assignment_from_json({**obj, "d_r": 3})
+        with pytest.raises(ValueError, match="positive"):
+            assignment_from_json({**obj, "d_s": 0})
+
+    @pytest.mark.parametrize("rho_s, rho_sr", [
+        (I2 / 2, np.eye(3) / 3),
+        (I2 / 2, np.eye(8) / 8),
+        (np.eye(3) / 3, np.eye(4) / 4),
+    ], ids=["joint-3x3", "joint-8x8", "system-3x3"])
+    def test_inconsistent_table_pair_shapes_checked(self, rho_s, rho_sr):
+        with pytest.raises(ValueError, match="pair shapes"):
+            TabulatedAssignment(pairs=((rho_s, rho_sr),), d_s=2, d_r=2, inconsistent=True)
+
     def test_inconsistent_table_requires_flag(self):
         x_plus = from_bloch((1, 0, 0))
         with pytest.raises(ValueError, match="consistency"):
