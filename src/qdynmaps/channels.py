@@ -5,21 +5,29 @@ is conj(B) (x) A. The Choi matrix uses the unnormalized convention
 C = sum_ij E_ij (x) T(E_ij), so tr C = dim_in for trace-preserving maps and
 Kraus weights read directly off Choi eigenvalues.
 
-Positivity audits are decided from the Choi spectrum where it settles them,
-and searched otherwise (``PositivityReport.certificate`` says which):
+:class:`Superoperator` is the one linear-map type: channels, reduced maps,
+the extensions T (x) I_n and the assignment maps of ``opendyn`` are all
+applied by its ``apply_batch``, one matrix product with the row-major
+``action`` matrix derived from the transfer matrix.
 
-- a CP map is n-positive for every n, so :func:`is_positive_map` and
-  :func:`is_n_positive` return "no-violation-found" at once;
-- for n >= dim_in, n-positivity is complete positivity (Choi 1975), so
-  :func:`is_n_positive` builds its witness from the bottom Choi eigenvector;
-- everything else (positivity of an NCP map, n-positivity of an NCP map with
-  n < dim_in) is a seeded pure-state search, whose "no-violation-found" is
-  not a proof.
+Positivity audits are decided from the Choi spectrum where it settles them,
+and searched otherwise (``PositivityReport.certificate`` says which).
+Positivity is 1-positivity, so :func:`is_positive_map` is
+:func:`is_n_positive` with n = 1:
+
+- a CP map is n-positive for every n: "no-violation-found" at once;
+- for n >= dim_in, n-positivity is complete positivity (Choi 1975), so an
+  NCP map is a "certified-violation", with a witness built from the bottom
+  Choi eigenvector;
+- an NCP map with n < dim_in (for positivity: every NCP map with
+  dim_in >= 2) gets a seeded pure-state search, whose "no-violation-found"
+  is not a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,35 +72,60 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(rows, cols, order="F")
 
 
+def _readonly(m) -> np.ndarray:
+    """A complex copy of m that refuses in-place writes."""
+    m = np.array(m, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Superoperator:
     """Linear map on matrix space, held as a transfer matrix on vectorized
-    matrices. Shape is dim_out^2 x dim_in^2."""
+    matrices. Shape is dim_out^2 x dim_in^2.
+
+    ``transfer`` is stored as a read-only complex copy. ``action`` is the
+    same map on row-major flattened matrices, row (i, j) and column (p, q)
+    holding T(E_ij)[p, q], so that a batch of inputs is applied by one
+    matrix product.
+    """
 
     dim_in: int
     dim_out: int
     transfer: np.ndarray
 
     def __post_init__(self):
+        transfer = _readonly(self.transfer)
         expected = (self.dim_out**2, self.dim_in**2)
-        if self.transfer.shape != expected:
+        if transfer.shape != expected:
             raise ValueError(
-                f"transfer shape {self.transfer.shape} does not match dims "
+                f"transfer shape {transfer.shape} does not match dims "
                 f"(expected {expected})"
             )
+        object.__setattr__(self, "transfer", transfer)
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        # transfer[(q, p), (j, i)] = T(E_ij)[p, q]; derived on first use, as
+        # most maps built by the audits are never applied
+        d_in, d_out = self.dim_in, self.dim_out
+        t4 = self.transfer.reshape(d_out, d_out, d_in, d_in)
+        action = t4.transpose(3, 2, 1, 0).reshape(d_in**2, d_out**2)  # a copy unless trivial
+        action.setflags(write=False)
+        return action
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
         if m.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"input shape {m.shape}, expected {(self.dim_in,) * 2}")
-        return unvec(self.transfer @ vec(m), self.dim_out)
+        return self.apply_batch(m[None])[0]
+
+    __call__ = apply
 
     def apply_batch(self, ms: np.ndarray) -> np.ndarray:
         """Apply to a stacked (N, d, d) array of inputs."""
         n = ms.shape[0]
-        vecs = ms.transpose(0, 2, 1).reshape(n, -1)  # row-major of m.T == column-stack
-        outs = vecs @ self.transfer.T
-        return outs.reshape(n, self.dim_out, self.dim_out).transpose(0, 2, 1)
+        return (ms.reshape(n, -1) @ self.action).reshape(n, self.dim_out, self.dim_out)
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
         # tr(T(E_ij)) = delta_ij  <=>  vec(I)^T acting on transfer gives vec(I)^T
@@ -340,21 +373,13 @@ def _with_choi(rep: PositivityReport, cp: PositivityReport,
 
 
 def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> PositivityReport:
-    """Positivity verdict: decided for CP maps, searched otherwise.
+    """Positivity verdict: 1-positivity, see :func:`is_n_positive`.
 
-    A CP map is positive: "no-violation-found" with ``certificate="choi"``.
-    For an NCP map, pure inputs are searched for an output with a negative
-    eigenvalue: "certified-violation" carries a witness whose image
-    genuinely fails PSD; "no-violation-found" only reports search
-    exhaustion, not a proof.
+    "certified-violation" carries a witness whose image genuinely fails
+    PSD; a searched "no-violation-found" only reports search exhaustion,
+    not a proof.
     """
-    cp = is_cp(t)
-    if cp.is_cp:
-        return replace(cp, is_positive="no-violation-found")
-    best_val, best_vec, samples = minimize_output_min_eig(
-        t.apply_batch, t.dim_in, budget=budget, seed=seed
-    )
-    return _with_choi(certify_violation(t.apply, best_val, best_vec, samples), cp)
+    return is_n_positive(t, 1, budget=budget, seed=seed)
 
 
 def extend_with_identity(t: Superoperator, n: int) -> Superoperator:
@@ -395,33 +420,35 @@ def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -
 
     Decided from the Choi spectrum (``certificate="choi"``, no samples) when
     t is CP, which makes it n-positive for every n, and when n >= dim_in,
-    where n-positivity is complete positivity: the witness is
-    :func:`_choi_witness` and its value the minimum eigenvalue of its image.
-    Otherwise a falsification search runs, with the maximally entangled
-    state among its candidates.
+    where n-positivity is complete positivity: an NCP t is then a
+    "certified-violation" whose witness is :func:`_choi_witness` and whose
+    value is the minimum eigenvalue of the witness's image. Otherwise a
+    falsification search runs, with the maximally entangled state among
+    its candidates when n > 1.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return is_positive_map(t, budget=budget, seed=seed)
     cp = is_cp(t)
     if cp.is_cp:
         return replace(cp, is_positive="no-violation-found")
     comp = extend_with_identity(t, n)
     if n >= t.dim_in and matcore.is_hermitian(choi_of(t)):
-        psi = _choi_witness(t, n)
-        value = matcore.min_eig(comp.apply(states.projector(psi)))
-        return _with_choi(certify_violation(comp.apply, value, psi, 0), cp, "choi")
-    k = min(t.dim_in, n)
-    ent = np.zeros(t.dim_in * n, dtype=complex)
-    ent[np.arange(k) * (n + 1)] = 1.0  # sum_i |i>|i> over the first k levels
-    ent /= np.linalg.norm(ent)
+        witness = states.projector(_choi_witness(t, n))
+        rep = PositivityReport(is_positive="certified-violation", witness=witness,
+                               witness_min_eigenvalue=matcore.min_eig(comp.apply(witness)))
+        return _with_choi(rep, cp, "choi")
+    extra = None
+    if n > 1:
+        k = min(t.dim_in, n)
+        ent = np.zeros(t.dim_in * n, dtype=complex)
+        ent[np.arange(k) * (n + 1)] = 1.0  # sum_i |i>|i> over the first k levels
+        extra = ent[None, :] / np.linalg.norm(ent)
     best_val, best_vec, samples = minimize_output_min_eig(
         comp.apply_batch,
         comp.dim_in,
         budget=budget,
         seed=seed,
-        extra_candidates=ent[None, :],
+        extra_candidates=extra,
     )
     return _with_choi(certify_violation(comp.apply, best_val, best_vec, samples), cp)
 

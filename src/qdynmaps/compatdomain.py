@@ -10,8 +10,9 @@ Geometry (boundary radii, landscapes) is qubit-only: the Bloch ball is the
 one canonical chart of a state space we have. Higher dimensions still get
 membership and convexity checks.
 
-A lambda :class:`DomainQuery` builds Lambda_t once and reuses it for every
-image; it cannot go stale, as the query is frozen and the matrices Lambda_t
+Both predicates test the image of one ``channels.Superoperator``, the
+query's ``map``: Phi itself, or Lambda_t, built once and reused for every
+image. It cannot go stale, as the query is frozen and the matrices Lambda_t
 is built from are stored read-only (see ``opendyn``).
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import matcore, states
 from .channels import Superoperator
 from .config import tolerance
-from .opendyn import AssignmentMap, ReducedDynamics, TabulatedAssignment, assign, reduced_map
+from .opendyn import AssignmentMap, ReducedDynamics, TabulatedAssignment, reduced_map
 
 __all__ = [
     "DomainQuery",
@@ -69,18 +70,15 @@ class DomainQuery:
         return self.phi.d_s
 
     @cached_property
-    def _lambda_map(self) -> Superoperator:
-        return reduced_map(self.rd, self.t)
+    def map(self) -> Superoperator:
+        """The map whose image is tested: phi itself, or Lambda_t built once."""
+        return self.phi if self.predicate == "phi" else reduced_map(self.rd, self.t)
 
     def image(self, rho: np.ndarray) -> np.ndarray:
-        if self.predicate == "phi":
-            return assign(self.phi, rho)
-        return self._lambda_map.apply(rho)
+        return self.map.apply(rho)
 
     def image_batch(self, rhos: np.ndarray) -> np.ndarray:
-        if self.predicate == "phi":
-            return self.phi.apply_batch(rhos)
-        return self._lambda_map.apply_batch(rhos)
+        return self.map.apply_batch(rhos)
 
 
 @dataclass(frozen=True, eq=False)

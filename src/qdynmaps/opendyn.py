@@ -7,9 +7,9 @@ an assignment produces are Hermitian and unit trace but deliberately NOT
 guaranteed PSD; callers validate, because negative outputs are exactly the
 phenomenon under study.
 
-Every totally defined assignment is an :class:`AffineAssignment`, held as
-(linear part, constant part) and applied by one matrix product with its
-action matrix, which is derived from the two at construction.
+Every totally defined assignment is an :class:`AffineAssignment`: a
+``channels.Superoperator`` from S to S (x) R, built from (linear part,
+constant part) and applied like every other map.
 :class:`ProductAssignment` is a constructor for the affine map with zero
 constant, rho -> rho (x) rho_R. Tabulated maps are defined on finitely many
 states and extended (or shown non-extendable) by :func:`extend_linearly`.
@@ -17,8 +17,8 @@ states and extended (or shown non-extendable) by :func:`extend_linearly`.
 A :class:`ReducedDynamics` diagonalises its Hamiltonian once and a lambda
 ``compatdomain.DomainQuery`` builds its reduced map once. So that these
 caches cannot go stale, the matrices they derive from (the generator,
-``rho_r``, ``linear``, ``constant`` and the action matrix) are stored as
-read-only copies.
+``rho_r``, ``linear``, ``constant`` and every Superoperator's matrices) are
+stored as read-only copies.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, states
-from .channels import Superoperator, certify_violation, minimize_output_min_eig, unvec, vec
+from .channels import Superoperator, _readonly, certify_violation, minimize_output_min_eig
+from .channels import unvec, vec
 from .config import tolerance
 from .matcore import dag, kron, partial_trace, trace_norm
 
@@ -55,32 +56,24 @@ __all__ = [
 ]
 
 
-def _readonly(m) -> np.ndarray:
-    """A complex copy of m that refuses in-place writes."""
-    m = np.array(m, dtype=complex)
-    m.flags.writeable = False
-    return m
-
-
 @dataclass(frozen=True, eq=False)
-class AffineAssignment:
-    """rho_S -> L(rho_S) + tr(rho_S) * K.
+class AffineAssignment(Superoperator):
+    """rho_S -> L(rho_S) + tr(rho_S) * K, a Superoperator from S to S (x) R.
 
     ``linear`` is a (d_s*d_r)^2 x d_s^2 matrix on column-vectorized inputs;
     ``constant`` is a fixed Hermitian traceless (d_s*d_r)-square matrix. On
     unit-trace states this realizes a general affine assignment while staying
-    linear as a map of matrices, so transfer-matrix machinery applies
-    directly.
-
-    ``action`` is the same map on row-major flattened matrices with the
-    constant folded in: row (i, j), column (p, q) holds Phi(E_ij)[p, q].
+    linear as a map of matrices, with transfer matrix linear + vec(K) vec(I)^T
+    (as tr(rho) = vec(I)^T vec(rho)).
     """
 
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
+    transfer: np.ndarray = field(init=False, repr=False)
     linear: np.ndarray
     constant: np.ndarray
     d_s: int
     d_r: int
-    action: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d_s, n = self.d_s, self.d_s * self.d_r
@@ -92,19 +85,12 @@ class AffineAssignment:
                 f"linear {linear.shape} / constant {constant.shape} do not match "
                 f"d_s={d_s}, d_r={self.d_r}"
             )
-        # linear[(q, p), (j, i)] = L(E_ij)[p, q]; tr(E_ij) = delta_ij carries K
-        action = linear.reshape(n, n, d_s, d_s).transpose(3, 2, 1, 0).reshape(d_s**2, n * n)
-        action = action + np.eye(d_s).reshape(-1, 1) * constant.reshape(-1)
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "action", _readonly(action))
-
-    def __call__(self, rho_s: np.ndarray) -> np.ndarray:
-        return self.apply_batch(np.asarray(rho_s)[None])[0]
-
-    def apply_batch(self, rhos: np.ndarray) -> np.ndarray:
-        n = self.d_s * self.d_r
-        return (rhos.reshape(rhos.shape[0], -1) @ self.action).reshape(-1, n, n)
+        object.__setattr__(self, "dim_in", d_s)
+        object.__setattr__(self, "dim_out", n)
+        object.__setattr__(self, "transfer", linear + np.outer(vec(constant), vec(np.eye(d_s))))
+        super().__post_init__()
 
 
 class ProductAssignment(AffineAssignment):

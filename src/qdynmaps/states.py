@@ -31,8 +31,6 @@ __all__ = [
     "singlet",
     "Diagnostic",
     "validate",
-    "is_valid_state",
-    "random_pure",
     "random_density",
     "matrix_to_json",
     "matrix_from_json",
@@ -147,17 +145,6 @@ def validate(m: np.ndarray) -> Diagnostic:
     else:
         verdict = "valid"
     return Diagnostic(herm_res, trace_res, lmin, verdict)
-
-
-def is_valid_state(m: np.ndarray) -> bool:
-    return validate(m).verdict == "valid"
-
-
-def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state density matrix."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return projector(v)
 
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

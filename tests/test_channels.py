@@ -47,6 +47,18 @@ def scaled_z_map(factor: float) -> Superoperator:
     return Superoperator(dim_in=2, dim_out=2, transfer=t)
 
 
+class TestSuperoperator:
+    def test_stored_matrices_are_read_only(self):
+        transfer = scaled_z_map(1.2).transfer.copy()
+        t = Superoperator(dim_in=2, dim_out=2, transfer=transfer)
+        for m in (t.transfer, t.action):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 7.0
+        # the caller's array stays writable and is not aliased
+        transfer[0, 0] = 7.0
+        assert t.transfer[0, 0] == scaled_z_map(1.2).transfer[0, 0]
+
+
 class TestTransferFromKraus:
     def test_identity(self):
         t = transfer_from_kraus([np.eye(2, dtype=complex)])
@@ -273,6 +285,24 @@ class TestDecidedPositivity:
         rep = is_n_positive(t, n, budget=300)
         assert rep.certificate == "choi"
         assert abs(rep.witness_min_eigenvalue + 0.5) <= 1e-12
+
+    # flip + depolarising noise: Choi lambda_min = 1.5p - 1, placed at -tol + offset
+    @pytest.mark.parametrize("offset", [-1e-7, -3e-8, -5e-9, 5e-9, 3e-8, 1e-7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_threshold_n_positivity_agrees_with_is_cp(self, offset, n):
+        p = (1.0 - config.tolerance() + offset) / 1.5
+        depolarising = np.outer(vec(I2 / 2), vec(I2))
+        t = Superoperator(dim_in=2, dim_out=2,
+                          transfer=(1 - p) * flip_superoperator().transfer + p * depolarising)
+        cp = is_cp(t)
+        assert abs(cp.min_choi_eigenvalue - (1.5 * p - 1)) <= 1e-12
+        rep = is_n_positive(t, n)
+        assert rep.certificate == "choi" and rep.is_cp == cp.is_cp
+        if cp.is_cp:
+            assert rep.is_positive == "no-violation-found"
+        else:
+            assert rep.is_positive == "certified-violation"
+            assert rep.witness_min_eigenvalue <= cp.min_choi_eigenvalue / 2 + 1e-15
 
     @pytest.mark.parametrize("t, n", [
         pytest.param(transpose_superoperator(3), 2, id="transpose-3-n2"),

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from qdynmaps import channels, compatdomain, matcore, opendyn, states
-from qdynmaps.channels import unvec, vec
+from qdynmaps.channels import Superoperator, unvec, vec
 from qdynmaps.matcore import kron, partial_trace, trace_norm
 from qdynmaps.opendyn import (
     AffineAssignment,
@@ -109,7 +109,8 @@ class TestAssign:
 
 
 class TestApplyPath:
-    """Both ways of applying an assignment agree with L vec(rho) + tr(rho) K."""
+    """Every map, assignments and non-square Superoperators alike, is applied
+    as unvec(transfer @ vec(m)); an assignment also as L vec(rho) + tr(rho) K."""
 
     @pytest.mark.parametrize("d_r", [2, 3])
     @pytest.mark.parametrize("d_s", [2, 3])
@@ -123,15 +124,40 @@ class TestApplyPath:
         prod = ProductAssignment(rho_r=tau, d_s=d_s)
         rhos = np.stack([states.random_density(d_s, rng) for _ in range(10)])
         rhos[::2] *= 2.5  # tr(rho) != 1 scales the constant
+        t = rng.standard_normal((n * n, d_s * d_s)) + 1j * rng.standard_normal((n * n, d_s * d_s))
         for phi in (prod, dephasing_assignment(tau, d_s=d_s),
-                    AffineAssignment(linear=lin, constant=k, d_s=d_s, d_r=d_r)):
+                    AffineAssignment(linear=lin, constant=k, d_s=d_s, d_r=d_r),
+                    Superoperator(dim_in=d_s, dim_out=n, transfer=t)):
             batch = phi.apply_batch(rhos)
             for rho, out in zip(rhos, batch):
-                ref = unvec(phi.linear @ vec(rho), n) + np.trace(rho) * phi.constant
+                ref = unvec(phi.transfer @ vec(rho), n)
                 assert np.abs(out - ref).max() <= 1e-14
                 assert np.abs(phi(rho) - ref).max() <= 1e-14
+                if isinstance(phi, AffineAssignment):
+                    affine = unvec(phi.linear @ vec(rho), n) + np.trace(rho) * phi.constant
+                    assert np.abs(out - affine).max() <= 1e-14
                 if phi is prod:
                     assert np.abs(out - kron(rho, tau)).max() <= 1e-14
+
+
+class TestAssignmentIsSuperoperator:
+    def test_assignments_are_superoperators(self):
+        phi = correlated_assignment(0.5)
+        assert isinstance(phi, Superoperator)
+        assert (phi.dim_in, phi.dim_out) == (2, 4)
+
+    def test_cp_verdicts(self):
+        rng = np.random.default_rng(11)
+        assert channels.is_cp(ProductAssignment(rho_r=states.random_density(3, rng))).is_cp
+        for c in (-1.0, -0.3, 0.5, 1.0):
+            assert not channels.is_cp(correlated_assignment(c)).is_cp
+
+    @pytest.mark.parametrize("c", [-0.75, 0.5, 1.0])
+    def test_positivity_search_is_the_pechukas_search(self, c):
+        phi = correlated_assignment(c)
+        rep = channels.is_positive_map(phi)
+        assert rep.is_positive == "certified-violation"
+        assert rep.witness_min_eigenvalue == pechukas_witness(phi)[1]
 
 
 class TestConsistency:
