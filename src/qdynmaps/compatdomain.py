@@ -10,6 +10,11 @@ Geometry (boundary radii, landscapes) is qubit-only: the Bloch ball is the
 one canonical chart of a state space we have. Higher dimensions still get
 membership and convexity checks.
 
+Along a Bloch ray the image is affine, A + rB with A the image of I/2, so
+the exit radius is one Hermitian eigenproblem of the pencil (A, B), not a
+search. Landscapes and convexity checks decide whole stacks of states by
+one image batch and one eigenvalue batch.
+
 Both predicates test the image of one ``channels.Superoperator``, the
 query's ``map``: Phi itself, or Lambda_t, built once and reused for every
 image. It cannot go stale, as the query is frozen and the matrices Lambda_t
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import matcore, states
 from .channels import Superoperator
-from .config import tolerance
+from .config import psd_threshold, tolerance
 from .opendyn import AssignmentMap, ReducedDynamics, TabulatedAssignment, reduced_map
 
 __all__ = [
@@ -41,8 +46,9 @@ __all__ = [
     "report_to_csv",
 ]
 
-BISECT_TOL = 1e-8  # radius resolution of boundary_radius
-MEMBER_TRIES = 1000  # rejection-sampling draws per convexity_check member
+# Rounds of rejection sampling in convexity_check: each round draws one
+# batch of 2 * trials candidate states, so the budget is shared by all members.
+MEMBER_TRIES = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,33 +108,36 @@ def membership(q: DomainQuery, rho: np.ndarray) -> tuple[bool, float]:
 def boundary_radius(q: DomainQuery, direction) -> float:
     """Largest radius along a Bloch direction still inside the domain.
 
-    The minimum eigenvalue of an affine Hermitian family is concave, so
-    membership along a ray from an interior point is an interval and
-    bisection is exact. Requires the maximally mixed state to be a member.
+    The image of I/2 + r (n . sigma)/2 is the pencil A + rB, with A the
+    image of I/2 and B that of (n . sigma)/2 (Hermitian parts taken). With
+    L the Cholesky factor of A + eps I, A + rB + eps I >= 0 iff
+    1 + r mu >= 0, mu the minimum eigenvalue of L^-1 B L^-dag: the radius
+    is 1 if mu >= -1, else -1/mu, from one eigenproblem. eps sits a hair
+    inside the membership threshold, so that the returned radius is a
+    member. Requires the maximally mixed state to be a member; if it is one
+    only within the tolerance (A + eps I is not positive definite), the
+    radius is 0.
     """
     if q.d_s != 2:
         raise ValueError("boundary_radius is defined for qubit subjects only")
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    member, lmin = membership(q, states.I2 / 2.0)
+    center = states.I2 / 2.0
+    a = q.image(center)
+    member, lmin = matcore.psd_verdict(a)
     if not member:
         raise ValueError(
             f"center I/2 is outside the domain (lmin {lmin:.3g}): empty interior"
         )
-
-    def inside(r: float) -> bool:
-        return membership(q, states.from_bloch(r * direction))[0]
-
-    if inside(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > BISECT_TOL:
-        mid = (lo + hi) / 2.0
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    b = q.image(states.from_bloch(direction) - center)
+    eps = (1.0 - 1e-6) * -psd_threshold(float(np.abs(a).max()))
+    try:
+        chol = np.linalg.cholesky((a + matcore.dag(a)) / 2.0 + eps * np.eye(len(a)))
+    except np.linalg.LinAlgError:
+        return 0.0
+    half = np.linalg.solve(chol, (b + matcore.dag(b)) / 2.0)
+    mu = matcore.min_eig(np.linalg.solve(chol, matcore.dag(half)))
+    return 1.0 if mu >= -1.0 else -1.0 / mu
 
 
 def landscape(q: DomainQuery, resolution: int = 1) -> DomainReport:
@@ -147,7 +156,7 @@ def landscape(q: DomainQuery, resolution: int = 1) -> DomainReport:
     for radius in np.linspace(0.1, 1.0, 10):
         points.extend(radius * fibonacci_bloch(per_shell))
     points = np.asarray(points)
-    rhos = np.stack([states.from_bloch(r) for r in points])
+    rhos = states.from_bloch_batch(points)
     images = q.image_batch(rhos)
     samples = np.column_stack([points, matcore.min_eig_batch(images)])
     center_member, center_lmin = matcore.psd_verdict(images[0])
@@ -160,18 +169,26 @@ def landscape(q: DomainQuery, resolution: int = 1) -> DomainReport:
     )
 
 
-def _random_member(q: DomainQuery, rng: np.random.Generator) -> np.ndarray:
-    d = q.d_s
+def _candidates(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n random states: uniform in the Bloch ball for qubits, Wishart else."""
+    if d == 2:
+        r = rng.standard_normal((n, 3))
+        r *= (rng.random(n) ** (1 / 3) / np.linalg.norm(r, axis=1))[:, None]
+        return states.from_bloch_batch(r)
+    return np.stack([states.random_density(d, rng) for _ in range(n)])
+
+
+def _random_members(q: DomainQuery, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n domain members by rejection, in rounds of n candidates."""
+    found = np.empty((0, q.d_s, q.d_s), dtype=complex)
     for _ in range(MEMBER_TRIES):
-        if d == 2:
-            r = rng.standard_normal(3)
-            r *= rng.random() ** (1 / 3) / np.linalg.norm(r)
-            rho = states.from_bloch(r)
-        else:
-            rho = states.random_density(d, rng)
-        if membership(q, rho)[0]:
-            return rho
-    raise RuntimeError("could not sample a domain member; domain may be tiny or empty")
+        if len(found) >= n:
+            break
+        rhos = _candidates(q.d_s, n, rng)
+        found = np.concatenate([found, rhos[matcore.psd_verdict_batch(q.image_batch(rhos))[0]]])
+    if len(found) < n:
+        raise RuntimeError("could not sample a domain member; domain may be tiny or empty")
+    return found[:n]
 
 
 def convexity_check(q: DomainQuery, trials: int = 1000, seed: int = 0) -> DomainReport:
@@ -179,13 +196,11 @@ def convexity_check(q: DomainQuery, trials: int = 1000, seed: int = 0) -> Domain
     implementation bug, not interesting geometry (the domain is a PSD-cone
     preimage intersected with state space, hence convex)."""
     rng = np.random.default_rng(seed)
+    members = _random_members(q, 2 * trials, rng)
+    mids = (members[:trials] + members[trials:]) / 2.0
     failures = 0
-    for _ in range(trials):
-        a = _random_member(q, rng)
-        b = _random_member(q, rng)
-        mid = (a + b) / 2.0
-        if not membership(q, mid)[0]:
-            failures += 1
+    if trials > 0:
+        failures = int((~matcore.psd_verdict_batch(q.image_batch(mids))[0]).sum())
     member, lmin = membership(q, np.eye(q.d_s, dtype=complex) / q.d_s)
     return DomainReport(
         center_min_eigenvalue=lmin,

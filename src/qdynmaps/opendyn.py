@@ -99,15 +99,21 @@ class ProductAssignment(AffineAssignment):
 
     def __init__(self, rho_r: np.ndarray, d_s: int = 2):
         rho_r = _readonly(rho_r)
-        if rho_r.ndim != 2 or rho_r.shape[0] != rho_r.shape[1]:
-            raise ValueError(f"reservoir state must be a square matrix, got shape {rho_r.shape}")
+        linear = _product_linear(rho_r, d_s)
         d_r = rho_r.shape[0]
-        n = d_s * d_r
-        # column (j, i) is vec(E_ij (x) rho_r): entry (b, y, a, x) is delta_ai delta_bj rho_r[x, y]
-        eye = np.eye(d_s)
-        linear = np.einsum("ai,bj,xy->byaxji", eye, eye, rho_r).reshape(n**2, d_s**2)
         object.__setattr__(self, "rho_r", rho_r)
-        super().__init__(linear=linear, constant=np.zeros((n, n)), d_s=d_s, d_r=d_r)
+        super().__init__(linear=linear, constant=np.zeros((d_s * d_r,) * 2), d_s=d_s, d_r=d_r)
+
+
+def _product_linear(rho_r: np.ndarray, d_s: int) -> np.ndarray:
+    """Transfer matrix of rho_S -> rho_S (x) rho_R, for a square rho_R."""
+    rho_r = np.asarray(rho_r, dtype=complex)
+    if rho_r.ndim != 2 or rho_r.shape[0] != rho_r.shape[1]:
+        raise ValueError(f"reservoir state must be a square matrix, got shape {rho_r.shape}")
+    n = d_s * rho_r.shape[0]
+    # column (j, i) is vec(E_ij (x) rho_r): entry (b, y, a, x) is delta_ai delta_bj rho_r[x, y]
+    eye = np.eye(d_s)
+    return np.einsum("ai,bj,xy->byaxji", eye, eye, rho_r).reshape(n**2, d_s**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +171,7 @@ def correlated_assignment(c: float, d_s: int = 2) -> AffineAssignment:
         raise ValueError("correlated_assignment is a qubit-qubit family")
     if not -1.0 <= c <= 1.0:
         raise ValueError(f"correlation strength c={c} outside [-1, 1]")
-    return AffineAssignment(linear=ProductAssignment(rho_r=states.I2 / 2.0).linear,
+    return AffineAssignment(linear=_product_linear(states.I2 / 2.0, 2),
                             constant=(c / 4.0) * kron(states.SIGMA_Z, states.SIGMA_Z),
                             d_s=2, d_r=2)
 
@@ -176,10 +182,11 @@ def dephasing_assignment(rho_r: np.ndarray, d_s: int = 2) -> AffineAssignment:
     The z-dephasing kills coherences before attaching the reservoir, so
     tr_R(Phi rho) != rho whenever rho has off-diagonal terms.
     """
-    prod = ProductAssignment(rho_r=rho_r, d_s=d_s)
+    linear = _product_linear(rho_r, d_s)
+    d_r = np.shape(rho_r)[0]
     # vec(I) keeps the columns of the diagonal units; off-diagonal ones map to zero
-    return AffineAssignment(linear=prod.linear * vec(np.eye(d_s)).real,
-                            constant=prod.constant, d_s=d_s, d_r=prod.d_r)
+    return AffineAssignment(linear=linear * vec(np.eye(d_s)).real,
+                            constant=np.zeros((d_s * d_r,) * 2), d_s=d_s, d_r=d_r)
 
 
 def assign(phi: AssignmentMap, rho_s: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ __all__ = [
     "ket",
     "projector",
     "from_bloch",
+    "from_bloch_batch",
     "to_bloch",
     "purity",
     "expectation",
@@ -59,10 +60,21 @@ def from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError(f"Bloch vector must have 3 components, got shape {r.shape}")
-    norm = float(np.linalg.norm(r))
-    if not norm <= 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {norm} is not at most 1")
-    return (I2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
+    return from_bloch_batch(r[None])[0]
+
+
+def from_bloch_batch(rs) -> np.ndarray:
+    """Stacked (N, 2, 2) qubit density matrices of an (N, 3) array of Bloch
+    vectors, each of which must lie in the closed ball."""
+    rs = np.asarray(rs, dtype=float)
+    if rs.ndim != 2 or rs.shape[1] != 3:
+        raise ValueError(f"Bloch vectors must form an (N, 3) array, got shape {rs.shape}")
+    norms = np.linalg.norm(rs, axis=1)
+    outside = ~(norms <= 1.0 + 1e-12)  # NaN compares false, so it is caught too
+    if outside.any():
+        raise ValueError(f"Bloch vector norm {norms[outside][0]} is not at most 1")
+    x, y, z = (rs[:, k, None, None] for k in range(3))
+    return (I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0
 
 
 def to_bloch(rho: np.ndarray) -> np.ndarray:

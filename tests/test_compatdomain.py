@@ -26,6 +26,31 @@ CNOT_R_CONTROLS_S = np.array(
 )
 
 
+BISECT_TOL = 1e-8  # resolution of the reference bisection
+
+
+def bisect_radius(q, direction):
+    """Reference exit radius by bisection on membership: the minimum
+    eigenvalue of an affine Hermitian family is concave, so membership along
+    a ray from an interior point is an interval."""
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+
+    def inside(r):
+        return membership(q, from_bloch(r * direction))[0]
+
+    if inside(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECT_TOL:
+        mid = (lo + hi) / 2.0
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def phi_query(c=0.5):
     return DomainQuery(phi=correlated_assignment(c), predicate="phi")
 
@@ -90,6 +115,32 @@ class TestBoundaryRadius:
         q = phi_query(0.0)
         assert abs(boundary_radius(q, (0, 0, 1)) - 1.0) < 1e-8
 
+    def test_exact_radius_against_bisection(self):
+        # r_phi <= r_lambda ray by ray: Lambda_t = tr_R Ad_U Phi is CP on
+        # Phi's domain (Jordan, Shaji & Sudarshan, PRA 70, 052110, 2004)
+        rng = np.random.default_rng(11)
+        cs = [1.0, -1.0, 0.999, -0.995, 0.99] + list(rng.uniform(-1.0, 1.0, 15))
+        checked = 0
+        for c in cs:
+            phi = correlated_assignment(float(c))
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rd = ReducedDynamics(phi=phi, generator=("hamiltonian", (g + g.conj().T) / 2))
+            qp = DomainQuery(phi=phi, predicate="phi")
+            ql = DomainQuery(phi=phi, predicate="lambda", rd=rd, t=float(rng.uniform(0.05, 2.0)))
+            for n in rng.standard_normal((6, 3)):
+                n = n / np.linalg.norm(n)
+                radii = {}
+                for q in (qp, ql):
+                    r = boundary_radius(q, n)
+                    assert abs(r - bisect_radius(q, n)) <= 1e-8
+                    assert membership(q, from_bloch(r * n))[0]
+                    if r < 1.0:
+                        assert not membership(q, from_bloch(min(1.0, r + 1e-7) * n))[0]
+                    radii[q.predicate] = r
+                    checked += 1
+                assert radii["phi"] <= radii["lambda"] + 1e-8
+        assert checked == 240
+
     def test_empty_interior_rejected(self):
         base = ProductAssignment(rho_r=I2 / 2, d_s=2)
         phi = AffineAssignment(
@@ -147,6 +198,13 @@ class TestConvexity:
         rep = convexity_check(query_factory(), trials=200, seed=0)
         assert rep.convexity_failures == 0
         assert rep.convexity_trials == 200
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sampler_survives_small_domain(self, seed):
+        # about 0.36% of the Bloch ball is in the domain at c = 0.95
+        rep = convexity_check(phi_query(0.95), trials=25, seed=seed)
+        assert rep.convexity_failures == 0
+        assert rep.convexity_trials == 25
 
     def test_min_eig_concavity_along_segments(self):
         q = phi_query(0.5)

@@ -13,6 +13,7 @@ from qdynmaps.states import (
     bell_state,
     expectation,
     from_bloch,
+    from_bloch_batch,
     purity,
     singlet,
     to_bloch,
@@ -35,6 +36,29 @@ class TestBloch:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError):
             from_bloch((bad, 0, 0))
+
+    @pytest.mark.parametrize("bad", [
+        [[float("nan"), 0, 0]],
+        [[0, 0, 0], [float("inf"), 0, 0]],
+        [[0.6, 0.6, 0.6]],
+        [0, 0, 1],
+        [[0, 0]],
+        [[[0, 0, 1]]],
+    ])
+    def test_batch_rejects_what_from_bloch_rejects(self, bad):
+        with pytest.raises(ValueError):
+            from_bloch_batch(bad)
+
+    def test_batch_equals_stacked_from_bloch(self):
+        rng = np.random.default_rng(2)
+        r = rng.standard_normal((200, 3))
+        r *= (rng.random(200) / np.linalg.norm(r, axis=1))[:, None]
+        r[0] = (0.0, 0.0, 1.0)
+        batch = from_bloch_batch(r)
+        assert np.array_equal(batch, np.stack([from_bloch(v) for v in r]))
+        formula = [(I2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2 for x, y, z in r]
+        assert np.array_equal(batch, np.stack(formula))
+        assert from_bloch_batch(np.empty((0, 3))).shape == (0, 2, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**31 - 1))

@@ -1,10 +1,11 @@
 """The pinned verdict corpus: every case in tests/data/verdict_corpus.json,
 recomputed, must reach the same verdicts with the same deciding eigenvalues.
 
-Verdicts must match exactly and eigenvalues to 1e-12. Witness values and
-boundary radii come from searches and bisections, which a change of method
-may move on purpose; they are held to 1e-9, and a change that moves one
-regenerates the file with tests/make_verdict_corpus.py.
+Verdicts must match exactly and eigenvalues to 1e-12. Witness values come
+from searches, and boundary radii sit within the tolerance band of the
+domain's edge; a change of method may move either on purpose. They are held
+to 1e-9, and a change that moves one regenerates the file with
+tests/make_verdict_corpus.py.
 """
 
 import json
