@@ -195,12 +195,12 @@ def convexity_check(q: DomainQuery, trials: int = 1000, seed: int = 0) -> Domain
     """Midpoints of random member pairs must be members; failures indicate an
     implementation bug, not interesting geometry (the domain is a PSD-cone
     preimage intersected with state space, hence convex)."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     members = _random_members(q, 2 * trials, rng)
     mids = (members[:trials] + members[trials:]) / 2.0
-    failures = 0
-    if trials > 0:
-        failures = int((~matcore.psd_verdict_batch(q.image_batch(mids))[0]).sum())
+    failures = int((~matcore.psd_verdict_batch(q.image_batch(mids))[0]).sum())
     member, lmin = membership(q, np.eye(q.d_s, dtype=complex) / q.d_s)
     return DomainReport(
         center_min_eigenvalue=lmin,

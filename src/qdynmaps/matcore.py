@@ -6,14 +6,14 @@ products, partial trace/transpose over a bipartition, Hermitian
 eigendecomposition, and matrix functions of Hermitian generators.
 
 Every Hermitian eigenproblem is solved here, by LAPACK: :func:`herm_eig`
-through ``eigh``, :func:`min_eig` and :func:`min_eig_batch` through stacked
-``eigvalsh``. Verdicts compare a minimum eigenvalue with the absolute
-threshold ``-tol * max(1, |m|_inf)``, far above LAPACK's backward error. The
-one exception is the 2x2 minimum eigenvalue, which the qubit searches ask
-for thousands of times: its cancellation-free closed form is exact to
-rounding and an order of magnitude faster than a stacked solver call. Input
-with a NaN or infinite entry raises ``ValueError`` instead of yielding a
-spectrum.
+and :func:`min_eigpair_batch` through ``eigh``, :func:`min_eig` and
+:func:`min_eig_batch` through stacked ``eigvalsh``. Verdicts compare a
+minimum eigenvalue with the absolute threshold ``-tol * max(1, |m|_inf)``,
+far above LAPACK's backward error. The one exception is the 2x2 minimum
+eigenvalue, which the qubit searches ask for thousands of times: its
+cancellation-free closed form is exact to rounding and an order of
+magnitude faster than a stacked solver call. Input with a NaN or infinite
+entry raises ``ValueError`` instead of yielding a spectrum.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "hermiticity_residual",
     "min_eig",
     "min_eig_batch",
+    "min_eigpair_batch",
     "trace_norm",
     "mat_close",
 ]
@@ -163,19 +164,32 @@ def min_eig(m: np.ndarray) -> float:
     return float(min_eig_batch(np.asarray(m)[None])[0])
 
 
+def _herm_part_batch(ms) -> np.ndarray:
+    """Hermitian parts of a stacked (N, d, d) array, after the finiteness guard."""
+    ms = require_finite(ms)
+    return (ms + np.conj(np.swapaxes(ms, -1, -2))) / 2.0
+
+
 def min_eig_batch(ms: np.ndarray) -> np.ndarray:
     """Minimum eigenvalues of the Hermitian parts of a stacked (N, d, d) array.
 
     2x2 matrices use the closed form (a+d)/2 - hypot((a-d)/2, |b|), which
     has no cancellation; every other size goes to the stacked LAPACK solver.
     """
-    ms = require_finite(ms)
-    sym = (ms + np.conj(np.swapaxes(ms, -1, -2))) / 2.0
+    sym = _herm_part_batch(ms)
     if sym.shape[-1] == 2:
         a = sym[..., 0, 0].real
         d = sym[..., 1, 1].real
         return (a + d) / 2.0 - np.hypot((a - d) / 2.0, np.abs(sym[..., 0, 1]))
     return np.linalg.eigvalsh(sym)[..., 0]
+
+
+def min_eigpair_batch(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom eigenpairs of the Hermitian parts of a stacked (N, d, d) array:
+    the (N,) minimum eigenvalues and the (N, d) unit eigenvectors, row k
+    belonging to matrix k, by one stacked ``eigh``."""
+    w, v = np.linalg.eigh(_herm_part_batch(ms))
+    return w[:, 0], v[:, :, 0]
 
 
 def psd_verdict(m: np.ndarray) -> tuple[bool, float]:

@@ -448,9 +448,7 @@ def pechukas_witness(
             "the product-map theorem does not apply"
         )
 
-    best_val, best_vec, samples = minimize_output_min_eig(
-        phi.apply_batch, d_s, budget=budget, seed=seed
-    )
+    best_val, best_vec, samples = minimize_output_min_eig(phi, budget=budget, seed=seed)
     return certify_violation(phi, best_val, best_vec, samples).witness, best_val
 
 

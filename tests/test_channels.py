@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdynmaps import channels, config, matcore, states
+from qdynmaps import channels, config, matcore, opendyn, states
 from qdynmaps.channels import (
     KrausSet,
     Superoperator,
@@ -26,6 +26,7 @@ from qdynmaps.channels import (
     unvec,
     vec,
 )
+from qdynmaps.matcore import dag
 from qdynmaps.states import I2, SIGMA_X, SIGMA_Z, bell_state, singlet
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -57,6 +58,10 @@ class TestSuperoperator:
         # the caller's array stays writable and is not aliased
         transfer[0, 0] = 7.0
         assert t.transfer[0, 0] == scaled_z_map(1.2).transfer[0, 0]
+
+    def test_empty_batch(self):
+        t = Superoperator(dim_in=2, dim_out=3, transfer=np.ones((9, 4)))
+        assert t.apply_batch(np.empty((0, 2, 2), dtype=complex)).shape == (0, 3, 3)
 
 
 class TestTransferFromKraus:
@@ -320,6 +325,106 @@ class TestDecidedPositivity:
         rep = is_positive_map(t, budget=300)
         assert rep.certificate is None and rep.samples_used >= 300
         assert rep.is_cp is False
+
+
+def ref_minimize_output_min_eig(apply_batch, dim, budget=2000, seed=0, extra_candidates=None):
+    """The search as it was before the see-saw: a grid, then a 50-step
+    shrinking random descent from its best point, at every dimension."""
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        vs = channels._bloch_to_vectors(channels.fibonacci_bloch(budget))
+    else:
+        g = rng.standard_normal((budget, dim)) + 1j * rng.standard_normal((budget, dim))
+        vs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    if extra_candidates is not None:
+        vs = np.concatenate([extra_candidates, vs], axis=0)
+    samples = vs.shape[0]
+    vals = matcore.min_eig_batch(apply_batch(channels._pure_batch_from_vectors(vs)))
+    best = int(np.argmin(vals))
+    best_val = float(vals[best])
+    best_vec = vs[best]
+    sigma = 0.5
+    proposals = 32
+    for _ in range(50):
+        g = rng.standard_normal((proposals, dim)) + 1j * rng.standard_normal((proposals, dim))
+        cand = best_vec[None, :] + sigma * g
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        cv = matcore.min_eig_batch(apply_batch(channels._pure_batch_from_vectors(cand)))
+        samples += proposals
+        k = int(np.argmin(cv))
+        if cv[k] < best_val:
+            best_val = float(cv[k])
+            best_vec = cand[k]
+        sigma *= 0.78
+    return best_val, best_vec, samples
+
+
+def random_shifted_choi_map(d: int, rng) -> Superoperator:
+    """Map whose Choi matrix is a Wishart matrix shifted down by a random
+    multiple of I: NCP, and for larger shifts not positive either."""
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    c = g @ dag(g) / (d * d) - rng.uniform(0.0, 1.5) * np.eye(d * d)
+    return transfer_from_choi(c, d, d)
+
+
+class TestSearch:
+    """`minimize_output_min_eig`: the see-saw from dim_in = 3 on, the old
+    descent (`ref_minimize_output_min_eig`) below that."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("budget", [50, 300])
+    def test_qubit_inputs_keep_the_descent_bit_for_bit(self, seed, budget):
+        rng = np.random.default_rng(40 + seed)
+        maps = [flip_superoperator(), scaled_z_map(1.2), random_shifted_choi_map(2, rng),
+                opendyn.correlated_assignment(0.5)]
+        for t in maps:
+            got = channels.minimize_output_min_eig(t, budget=budget, seed=seed)
+            want = ref_minimize_output_min_eig(t.apply_batch, 2, budget=budget, seed=seed)
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_seesaw_certifies_whatever_the_descent_certifies(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        certified = 0
+        for seed in range(8):
+            comp = extend_with_identity(random_shifted_choi_map(d, rng), n)
+            val, vec_, samples = channels.minimize_output_min_eig(comp, budget=300, seed=seed)
+            ref_val, ref_vec, ref_samples = ref_minimize_output_min_eig(
+                comp.apply_batch, comp.dim_in, budget=300, seed=seed)
+            rep = channels.certify_violation(comp.apply, val, vec_, samples)
+            ref = channels.certify_violation(comp.apply, ref_val, ref_vec, ref_samples)
+            if ref.is_positive == "certified-violation":
+                certified += 1
+                assert rep.is_positive == "certified-violation"
+                assert val <= ref_val + 1e-8
+            # the value is that of the state returned
+            image = comp.apply(states.projector(vec_))
+            assert abs(matcore.min_eig(image) - val) <= 1e-12
+        assert certified > 0
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (4, 1)])
+    def test_same_seed_same_result(self, d, n):
+        comp = extend_with_identity(random_shifted_choi_map(d, np.random.default_rng(d)), n)
+        first = channels.minimize_output_min_eig(comp, budget=200, seed=5)
+        again = channels.minimize_output_min_eig(comp, budget=200, seed=5)
+        assert first[0] == again[0] and first[2] == again[2]
+        assert np.array_equal(first[1], again[1])
+
+    @pytest.mark.parametrize("t, n", [
+        pytest.param(transpose_superoperator(3), 1, id="transpose-3-n1"),
+        pytest.param(transpose_superoperator(3), 2, id="transpose-3-n2"),
+        pytest.param(_transpose_mixture(3, 0.6, seed=3), 1, id="mixture-3-n1"),
+        pytest.param(_transpose_mixture(4, 0.6, seed=4), 2, id="mixture-4-n2"),
+    ])
+    @pytest.mark.parametrize("extras", [0, 1])
+    def test_samples_bounded(self, t, n, extras):
+        comp = extend_with_identity(t, n)
+        extra = np.eye(comp.dim_in, dtype=complex)[:extras]
+        _, _, samples = channels.minimize_output_min_eig(comp, budget=300, extra_candidates=extra)
+        cap = 300 + extras + channels.SEESAW_STARTS * channels.SEESAW_STEPS
+        assert 300 <= samples <= cap
 
 
 class TestAdjoint:

@@ -192,6 +192,13 @@ class TestLandscape:
                 assert member
 
 
+@pytest.mark.parametrize("query_factory", [phi_query, lambda_query])
+def test_empty_image_batch(query_factory):
+    q = query_factory()
+    d_out = 4 if q.predicate == "phi" else 2  # the image lives on S (x) R, or on S
+    assert q.image_batch(np.empty((0, 2, 2), dtype=complex)).shape == (0, d_out, d_out)
+
+
 class TestConvexity:
     @pytest.mark.parametrize("query_factory", [phi_query, lambda_query])
     def test_no_failures(self, query_factory):
@@ -205,6 +212,16 @@ class TestConvexity:
         rep = convexity_check(phi_query(0.95), trials=25, seed=seed)
         assert rep.convexity_failures == 0
         assert rep.convexity_trials == 25
+
+    @pytest.mark.parametrize("query_factory", [phi_query, lambda_query])
+    def test_zero_trials(self, query_factory):
+        rep = convexity_check(query_factory(), trials=0)
+        assert rep.convexity_trials == 0 and rep.convexity_failures == 0
+        assert rep.center_member
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            convexity_check(phi_query(), trials=-1)
 
     def test_min_eig_concavity_along_segments(self):
         q = phi_query(0.5)

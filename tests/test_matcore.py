@@ -201,6 +201,19 @@ def test_min_eig_batch_matches_scalar():
         assert np.abs(np.array(single) - want).max() < 1e-12
 
 
+def test_min_eigpair_batch_is_the_bottom_eigenpair():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 6, 8):
+        ms = rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n))
+        hs = (ms + np.conj(np.swapaxes(ms, 1, 2))) / 2.0
+        vals, vecs = matcore.min_eigpair_batch(ms)  # the Hermitian part is taken
+        assert vals.shape == (20,) and vecs.shape == (20, n)
+        assert np.abs(vals - matcore.min_eig_batch(ms)).max() < 1e-12
+        assert np.abs(np.linalg.norm(vecs, axis=1) - 1.0).max() < 1e-12
+        residual = np.einsum("kij,kj->ki", hs, vecs) - vals[:, None] * vecs
+        assert np.abs(residual).max() < 1e-12
+
+
 def test_min_eig_near_degenerate_2x2():
     # eigenvalues 0.5 + 5e-10 -+ sqrt(1.25) * 1e-9: tr^2 - 4 det cancels
     m = np.array([[0.5 + 1e-9, 1e-9], [1e-9, 0.5]], dtype=complex)
@@ -218,8 +231,9 @@ NONFINITE = {
 @pytest.mark.parametrize("name", sorted(NONFINITE))
 @pytest.mark.parametrize(
     "solve",
-    [matcore.min_eig, lambda m: matcore.min_eig_batch(m[None]), matcore.herm_eig],
-    ids=["min_eig", "min_eig_batch", "herm_eig"],
+    [matcore.min_eig, lambda m: matcore.min_eig_batch(m[None]), matcore.herm_eig,
+     lambda m: matcore.min_eigpair_batch(m[None])],
+    ids=["min_eig", "min_eig_batch", "herm_eig", "min_eigpair_batch"],
 )
 def test_nonfinite_input_raises(solve, name):
     with pytest.raises(ValueError, match="non-finite"):
