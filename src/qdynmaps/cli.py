@@ -95,36 +95,36 @@ def cmd_check(args) -> int:
             phi = opendyn.assignment_from_json(obj)
         except (ValueError, KeyError) as exc:
             raise CliError(str(exc))
-        rng = np.random.default_rng(args.seed)
+        thresholds = {"consistency": config.consistency_threshold()}
         if isinstance(phi, opendyn.TabulatedAssignment):
-            probes = [p[0] for p in phi.pairs]
-            pair_probes = [
-                (phi.pairs[i][0], phi.pairs[j][0], 0.5)
-                for i in range(len(phi.pairs))
-                for j in range(i + 1, len(phi.pairs))
-            ]
+            # a table is probed on its own states and their midpoints
+            pairs = phi.pairs
+            cons = opendyn.check_consistency(phi, [p[0] for p in pairs])
+            lin = opendyn.check_linearity(phi, [(pairs[i][0], pairs[j][0], 0.5)
+                                                for i in range(len(pairs))
+                                                for j in range(i + 1, len(pairs))])
+            audit = {"consistency_residual": cons.max_residual, "consistent": cons.consistent,
+                     "linearity_residual": lin.max_residual,
+                     "undefined_mixtures": lin.undefined_probes}
         else:
-            probes = [states.random_density(phi.d_s, rng) for _ in range(50)]
-            pair_probes = [
-                (states.random_density(phi.d_s, rng),
-                 states.random_density(phi.d_s, rng),
-                 rng.random())
-                for _ in range(50)
-            ]
-        cons = opendyn.check_consistency(phi, probes)
-        lin = opendyn.check_linearity(phi, pair_probes)
-        print(f"consistency: max residual {cons.max_residual:.3e}"
-              f" ({'ok' if cons.consistent else 'VIOLATED'})")
-        print(f"linearity: max residual {lin.max_residual:.3e}"
-              f" ({lin.undefined_probes} undefined mixtures)")
-        negative = not cons.consistent or lin.max_residual > 1e3 * config.tolerance()
-        report.update({
-            "type": "assignment",
-            "consistency_residual": cons.max_residual,
-            "consistent": cons.consistent,
-            "linearity_residual": lin.max_residual,
-            "undefined_mixtures": lin.undefined_probes,
-        })
+            # an affine map is linear by construction; its consistency and
+            # Pechukas verdict are decided from the transfer matrix
+            rep = opendyn.pechukas_report(phi)
+            thresholds["product"] = config.product_threshold()
+            audit = {"consistency_residual": rep.consistency_residual,
+                     "consistent": rep.consistent, "linearity_residual": 0.0,
+                     "undefined_mixtures": 0, "product_deviation": rep.product_deviation,
+                     "pechukas": rep.verdict, "certificate": rep.certificate}
+        print(f"consistency: max residual {audit['consistency_residual']:.3e}"
+              f" ({'ok' if audit['consistent'] else 'VIOLATED'})")
+        print(f"linearity: max residual {audit['linearity_residual']:.3e}"
+              f" ({audit['undefined_mixtures']} undefined mixtures)")
+        if "pechukas" in audit:
+            print(f"pechukas: {audit['pechukas']} (product deviation "
+                  f"{audit['product_deviation']:.3e}, decided from the transfer matrix)")
+        negative = (not audit["consistent"]
+                    or audit["linearity_residual"] > config.consistency_threshold())
+        report.update({"type": "assignment", **audit, "thresholds": thresholds})
     else:
         raise CliError("file is neither a superoperator (kind) nor an assignment (variant)")
 
@@ -233,8 +233,11 @@ def _case_pechukas(args, cc: CaseChecks) -> None:
     c = args.c
     phi = opendyn.correlated_assignment(c)
     witness, lmin = opendyn.pechukas_witness(phi, budget=2000, seed=args.seed)
-    cc.expect_true("witness found for the correlated assignment", witness is not None)
-    cc.expect("witness min eigenvalue", lmin, -c / 4.0, 1e-3)
+    if c == 0.0:
+        cc.expect_true("c = 0 is the product map: no witness", witness is None)
+    else:
+        cc.expect_true("witness found for the correlated assignment", witness is not None)
+    cc.expect("witness min eigenvalue", lmin, -abs(c) / 4.0, 1e-3)
     if witness is not None:
         r = states.to_bloch(witness)
         cc.expect_true("witness is near-pure (Bloch radius >= 0.99)",

@@ -30,3 +30,16 @@ def set_tolerance(tol: float) -> None:
 def psd_threshold(max_abs_entry: float) -> float:
     """Acceptance threshold for the minimum eigenvalue of a PSD candidate."""
     return -_tol * max(1.0, max_abs_entry)
+
+
+def consistency_threshold() -> float:
+    """Largest residual accepted as zero by the consistency and linearity
+    audits of assignment maps (tr_R Phi(rho) = rho, table interpolation)."""
+    return 1e3 * _tol
+
+
+def product_threshold() -> float:
+    """Largest entry of transfer - transfer(rho -> rho (x) tau) for which a
+    consistent assignment counts as the product map. It is the tolerance
+    itself: a correlation term just above it must still count as one."""
+    return _tol

@@ -5,11 +5,11 @@ reduces to a handful of operations on small dense complex matrices: Kronecker
 products, partial trace/transpose over a bipartition, Hermitian
 eigendecomposition, and matrix functions of Hermitian generators.
 
-Every Hermitian eigenproblem is solved here, by LAPACK: :func:`herm_eig`
-and :func:`min_eigpair_batch` through ``eigh``, :func:`min_eig` and
-:func:`min_eig_batch` through stacked ``eigvalsh``. Verdicts compare a
-minimum eigenvalue with the absolute threshold ``-tol * max(1, |m|_inf)``,
-far above LAPACK's backward error. The one exception is the 2x2 minimum
+Every Hermitian eigenproblem is solved here, by LAPACK: :func:`herm_eig`,
+:func:`min_eigpair_batch` and :func:`eigh_batch` through ``eigh``,
+:func:`min_eig` and :func:`min_eig_batch` through stacked ``eigvalsh``.
+Verdicts compare a minimum eigenvalue with the absolute threshold
+``-tol * max(1, |m|_inf)``, far above LAPACK's backward error. The one exception is the 2x2 minimum
 eigenvalue, which the qubit searches ask for thousands of times: its
 cancellation-free closed form is exact to rounding and an order of
 magnitude faster than a stacked solver call. Input with a NaN or infinite
@@ -37,6 +37,7 @@ __all__ = [
     "min_eig",
     "min_eig_batch",
     "min_eigpair_batch",
+    "eigh_batch",
     "trace_norm",
     "mat_close",
 ]
@@ -190,6 +191,13 @@ def min_eigpair_batch(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     belonging to matrix k, by one stacked ``eigh``."""
     w, v = np.linalg.eigh(_herm_part_batch(ms))
     return w[:, 0], v[:, :, 0]
+
+
+def eigh_batch(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectra of the Hermitian parts of a stacked (N, d, d) array: the
+    (N, d) ascending eigenvalues and the (N, d, d) eigenvectors, column m of
+    matrix k belonging to eigenvalue m, by one stacked ``eigh``."""
+    return np.linalg.eigh(_herm_part_batch(ms))
 
 
 def psd_verdict(m: np.ndarray) -> tuple[bool, float]:

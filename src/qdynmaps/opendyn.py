@@ -29,9 +29,10 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, states
-from .channels import Superoperator, _readonly, certify_violation, minimize_output_min_eig
+from .channels import Superoperator, _bloch_to_vectors, _readonly, certify_violation
+from .channels import fibonacci_bloch, minimize_output_min_eig
 from .channels import unvec, vec
-from .config import tolerance
+from .config import consistency_threshold, product_threshold, tolerance
 from .matcore import dag, kron, partial_trace, trace_norm
 
 __all__ = [
@@ -48,6 +49,8 @@ __all__ = [
     "ExtensionResult",
     "Conflict",
     "extend_linearly",
+    "PechukasReport",
+    "pechukas_report",
     "pechukas_witness",
     "TrajectoryReport",
     "inconsistency_analysis",
@@ -142,7 +145,7 @@ class TabulatedAssignment:
         if not self.inconsistent:
             for rho_s, rho_sr in self.pairs:
                 res = trace_norm(partial_trace(rho_sr, (self.d_s, self.d_r)) - rho_s)
-                if res > 1e3 * tolerance():
+                if res > consistency_threshold():
                     raise ValueError(
                         f"table pair violates consistency (residual {res:.3g}); "
                         "flag the table inconsistent=True if intended"
@@ -205,7 +208,7 @@ class ConsistencyReport:
 
     @property
     def consistent(self) -> bool:
-        return self.max_residual <= 1e3 * tolerance()
+        return self.max_residual <= consistency_threshold()
 
 
 def check_consistency(phi: AssignmentMap, probes) -> ConsistencyReport:
@@ -373,7 +376,7 @@ def extend_linearly(tab: TabulatedAssignment) -> ExtensionResult:
     x, *_ = np.linalg.lstsq(p.T, s.T, rcond=None)
     x = x.T  # minimal-norm map with X p = s in least squares
     residual = float(np.abs(x @ p - s).max())
-    if residual <= 1e3 * tolerance():
+    if residual <= consistency_threshold():
         ext = AffineAssignment(
             linear=x,
             constant=np.zeros((d_s * d_r, d_s * d_r), dtype=complex),
@@ -427,28 +430,176 @@ def extend_linearly(tab: TabulatedAssignment) -> ExtensionResult:
     return ExtensionResult(outcome="conflict", conflict=conflict)
 
 
+@dataclass(frozen=True, eq=False)
+class PechukasReport:
+    """Pechukas's no-go for an affine assignment, decided from its transfer
+    matrix (certificate "pechukas"); see :func:`pechukas_witness`.
+
+    ``consistency_residual`` is the largest entry of PT_R . transfer - I,
+    the transfer matrix of rho -> tr_R Phi(rho) - rho; ``reservoir`` is
+    tau = tr_S Phi(I) / d_s, and ``product_deviation`` the largest entry of
+    transfer minus the transfer matrix of rho -> rho (x) tau. ``verdict`` is
+    "inconsistent" (the theorem does not apply), "product" (positive iff
+    tau is PSD) or "non-product" (not positive).
+    """
+
+    certificate = "pechukas"
+
+    consistency_residual: float
+    product_deviation: float
+    reservoir: np.ndarray = field(repr=False)
+
+    @property
+    def consistent(self) -> bool:
+        return self.consistency_residual <= consistency_threshold()
+
+    @property
+    def verdict(self) -> str:
+        if not self.consistent:
+            return "inconsistent"
+        return "product" if self.product_deviation <= product_threshold() else "non-product"
+
+
+def pechukas_report(phi: AssignmentMap) -> PechukasReport:
+    """Consistency residual, reservoir state and product deviation of phi,
+    exactly, from its transfer matrix."""
+    if isinstance(phi, TabulatedAssignment):
+        raise TypeError("tabulated assignments must be extended with extend_linearly first")
+    d_s, d_r = phi.d_s, phi.d_r
+    # row (b, y, a, x) of the transfer matrix holds entry ((a, x), (b, y)) of an image
+    t = phi.transfer.reshape(d_s, d_r, d_s, d_r, d_s * d_s)
+    marginal = np.einsum("bxaxk->bak", t).reshape(d_s * d_s, d_s * d_s)
+    tau = np.einsum("ayaxk,k->xy", t, vec(np.eye(d_s))) / d_s
+    return PechukasReport(
+        consistency_residual=float(np.abs(marginal - np.eye(d_s * d_s)).max()),
+        product_deviation=float(np.abs(phi.transfer - _product_linear(tau, d_s)).max()),
+        reservoir=tau,
+    )
+
+
+PECHUKAS_GRID = 58  # Fibonacci points scored after the six Pauli eigenstates
+PECHUKAS_STARTS = 8  # best candidates polished, one chain each
+PECHUKAS_STEPS = 50  # cap on polish steps; searches measured stop within five
+
+
+def _qubit_pechukas_search(phi: AffineAssignment) -> tuple[float, np.ndarray, int]:
+    """Minimise lmin(Phi(psi psi^dag)) over pure qubit states psi.
+
+    With A = Phi(I/2) and B_i = Phi(sigma_i/2), the state of unit Bloch
+    vector r has the image A + r.B, with bottom eigenpair (lambda_0, phi).
+    Candidates are the six Pauli eigenstates and a Fibonacci grid; the best
+    ``PECHUKAS_STARTS`` start chains. Each step offers every chain two moves
+    and keeps the lower image eigenvalue, so no step raises a chain's value:
+
+    - the see-saw: r = -b/|b| with b_i = <phi|B_i|phi> minimises
+      <phi|A + r.B|phi> on the sphere;
+    - a Newton step on the sphere: lambda_0 has the gradient b and, by
+      second-order perturbation theory, the Hessian
+      H_ij = 2 Re sum_m <phi|B_i|phi_m><phi_m|B_j|phi> / (lambda_0 - lambda_m);
+      on the sphere, H - (r.b) I projected on the tangent plane. The
+      see-saw alone converges linearly and crawls where the minimum is
+      flat; with Newton, chains settle in a few steps. Where lambda_0 is
+      degenerate or b vanishes, the move is not finite and is not offered.
+
+    It stops after ``PECHUKAS_STEPS`` steps, or once a step lowers the best
+    value by at most 1e-12 * max(1, |best|). Returns (best lmin, its input
+    state vector, Bloch vectors scored).
+    """
+    paulis = np.stack([states.I2, states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z]) / 2.0
+    images = phi.apply_batch(paulis)
+    n = images.shape[1]
+    a, b = images[0], images[1:]
+    b_rows = b.transpose(1, 0, 2).reshape(n, 3 * n)  # [p, (i, q)] = B_i[p, q]
+
+    def image(rs):
+        return a + (rs @ b.reshape(3, n * n)).reshape(-1, n, n)
+
+    axes = np.eye(3)
+    rs = np.concatenate([axes, -axes, fibonacci_bloch(PECHUKAS_GRID)])
+    vals = matcore.min_eig_batch(image(rs))
+    samples = len(rs)
+    rs = rs[np.argsort(vals, kind="stable")[:PECHUKAS_STARTS]]
+    w, v = matcore.eigh_batch(image(rs))
+    k = int(np.argmin(w[:, 0]))
+    best_val, best_r = float(w[k, 0]), rs[k]
+    for _ in range(PECHUKAS_STEPS):
+        # bm[k, i, m] = <phi|B_i|phi_m> for chain k
+        bm = (v[:, :, 0].conj() @ b_rows).reshape(-1, 3, n) @ v
+        grad = bm[:, :, 0].real
+        with np.errstate(all="ignore"):  # non-finite moves are dropped below
+            seesaw = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
+            s = bm[:, :, 1:] / np.sqrt(w[:, None, 1:] - w[:, None, :1])
+            proj = axes - rs[:, :, None] * rs[:, None, :]
+            hess = (-2.0 * (s @ s.conj().transpose(0, 2, 1)).real
+                    - np.einsum("ki,ki->k", rs, grad)[:, None, None] * axes)
+            try:
+                step = np.linalg.solve(proj @ hess @ proj + axes - proj,
+                                       -(proj @ grad[:, :, None]))[..., 0]
+            except np.linalg.LinAlgError:
+                step = np.full_like(rs, np.nan)
+            newton = rs + step
+            newton /= np.linalg.norm(newton, axis=1, keepdims=True)
+        seesaw = np.where(np.isfinite(seesaw).all(axis=1, keepdims=True), seesaw, rs)
+        newton = np.where(np.isfinite(newton).all(axis=1, keepdims=True), newton, seesaw)
+        cand = np.concatenate([seesaw, newton])
+        cw, cv = matcore.eigh_batch(image(cand))
+        samples += len(cand)
+        chains = np.arange(len(rs))
+        pick = chains + len(rs) * (cw[len(rs):, 0] < cw[: len(rs), 0])
+        rs, w, v = cand[pick], cw[pick], cv[pick]
+        k = int(np.argmin(w[:, 0]))
+        gain = best_val - float(w[k, 0])
+        if gain > 0:
+            best_val, best_r = float(w[k, 0]), rs[k]
+        if gain <= 1e-12 * max(1.0, abs(best_val)):
+            break
+    return best_val, _bloch_to_vectors(best_r[None])[0], samples
+
+
 def pechukas_witness(
     phi: AssignmentMap, budget: int = 2000, seed: int = 0
 ) -> tuple[np.ndarray | None, float]:
-    """Search for a state whose assignment image has a negative eigenvalue.
+    """Pechukas's no-go for a consistent affine assignment: (witness or
+    None, min over pure psi of lmin(Phi(psi psi^dag))).
 
-    Consistency is required up front (the theorem's hypothesis). For any
-    consistent non-product affine assignment a violating pure state exists;
-    for product assignments the search comes up empty. Returns (witness or
-    None, best min eigenvalue found).
+    The verdict is decided by :func:`pechukas_report`. A consistent linear
+    assignment is positive iff it is rho -> rho (x) tau with tau PSD
+    (Pechukas, PRL 73, 1060, 1994; Jordan, Shaji & Sudarshan, PRA 70,
+    052110, 2004). Proof: a PSD X whose marginal tr_R X is a pure psi psi^dag
+    vanishes on psi_perp (x) R, so X = psi psi^dag (x) sigma_psi. Applied to
+    psi_1, psi_2 and (psi_1 +- psi_2)/sqrt(2), linearity forces one sigma
+    for all pure states, hence for all states. For the witness, take the
+    block Z_psi of Phi(psi psi^dag) on psi_perp (x) R: consistency gives
+    tr Z_psi = 0, so a nonzero Z_psi has a negative eigenvalue, and
+    lmin(Phi(psi psi^dag)) <= lmin(Z_psi) < 0 by Cauchy interlacing. For
+    the correlated family at psi = |0>, Z = -(c/4) sigma_z: the value is
+    exactly -|c|/4.
+
+    - A product map runs no search: every pure state has the image
+      spectrum of psi psi^dag (x) tau, so the value is min(0, lmin(tau)),
+      and "no witness" is a proof of positivity.
+    - A non-product qubit map runs :func:`_qubit_pechukas_search`, seeded
+      with the six Pauli eigenstates; ``budget`` and ``seed`` are unused.
+    - For d_s >= 3, ``channels.minimize_output_min_eig(phi, budget, seed)``.
+
+    The witness is returned only when the value clears
+    ``channels.certify_violation``'s margin; a non-product map whose value
+    does not is still not positive, but has no witness to show. Raises
+    ValueError for an inconsistent map and TypeError for a table.
     """
-    d_s = phi.d_s
-    rng = np.random.default_rng(seed)
-    probes = [states.random_density(d_s, rng) for _ in range(20)]
-    probes.append(np.eye(d_s, dtype=complex) / d_s)
-    rep = check_consistency(phi, probes)
+    rep = pechukas_report(phi)
     if not rep.consistent:
         raise ValueError(
-            f"assignment is inconsistent (residual {rep.max_residual:.3g}); "
+            f"assignment is inconsistent (residual {rep.consistency_residual:.3g}); "
             "the product-map theorem does not apply"
         )
-
-    best_val, best_vec, samples = minimize_output_min_eig(phi, budget=budget, seed=seed)
+    if rep.verdict == "product":
+        value, vec0 = min(0.0, matcore.min_eig(rep.reservoir)), np.eye(phi.d_s)[0]
+        return certify_violation(phi, value, vec0, 0).witness, value
+    if phi.d_s == 2:
+        best_val, best_vec, samples = _qubit_pechukas_search(phi)
+    else:
+        best_val, best_vec, samples = minimize_output_min_eig(phi, budget=budget, seed=seed)
     return certify_violation(phi, best_val, best_vec, samples).witness, best_val
 
 
@@ -470,18 +621,28 @@ class TrajectoryReport:
 def inconsistency_analysis(
     phi: AssignmentMap,
     true_initial: np.ndarray,
-    generator: tuple[str, np.ndarray],
+    generator: tuple[str, np.ndarray] | ReducedDynamics,
     times,
 ) -> TrajectoryReport:
     """Track how far the assignment-generated trajectory strays from the one
-    seeded by the actual joint state."""
+    seeded by the actual joint state.
+
+    ``generator`` is a generator tuple, as for :class:`ReducedDynamics`, or
+    a ReducedDynamics of the same dimensions, whose diagonalised
+    Hamiltonian is then reused.
+    """
     d_s, d_r = phi.d_s, phi.d_r
+    if isinstance(generator, ReducedDynamics):
+        if (generator.phi.d_s, generator.phi.d_r) != (d_s, d_r):
+            raise ValueError("reduced dynamics and assignment have different dimensions")
+        rd = generator
+    else:
+        rd = ReducedDynamics(phi=phi, generator=generator)
     rho_s = partial_trace(true_initial, (d_s, d_r))
     diag = states.validate(rho_s)
     if diag.verdict != "valid":
         raise ValueError(f"marginal of true_initial is not a valid state: {diag.verdict}")
     proxy = assign(phi, rho_s)
-    rd = ReducedDynamics(phi=phi, generator=generator)
     offset = trace_norm(rho_s - partial_trace(proxy, (d_s, d_r)))
     times = np.asarray(list(times), dtype=float)
     devs = np.empty_like(times)

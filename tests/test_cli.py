@@ -73,6 +73,38 @@ class TestCheck:
         assert main(["check", f]) == 2
         assert "VIOLATED" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("phi, rc, verdict, residual, deviation", [
+        (opendyn.correlated_assignment(0.5), 0, "non-product", 0.0, 0.125),
+        (opendyn.ProductAssignment(rho_r=states.I2 / 2), 0, "product", 0.0, 0.0),
+        (opendyn.dephasing_assignment(states.I2 / 2), 2, "inconsistent", 1.0, 0.5),
+    ])
+    def test_assignment_decided_from_transfer(self, tmp_path, capsys, phi, rc, verdict,
+                                              residual, deviation):
+        f = write_json(tmp_path, "phi.json", opendyn.assignment_to_json(phi))
+        out = tmp_path / "report.json"
+        assert main(["--tol", "1e-8", "--out", str(out), "check", f]) == rc
+        assert f"pechukas: {verdict}" in capsys.readouterr().out
+        rep = json.loads(out.read_text())
+        assert rep["pechukas"] == verdict and rep["certificate"] == "pechukas"
+        assert rep["consistency_residual"] == residual
+        assert rep["product_deviation"] == deviation
+        assert rep["linearity_residual"] == 0.0
+        assert rep["thresholds"] == {"consistency": 1e-5, "product": 1e-8}
+
+    def test_table_keeps_its_probes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        src = opendyn.correlated_assignment(0.3)
+        pairs = tuple((r, opendyn.assign(src, r))
+                      for r in (states.random_density(2, rng) for _ in range(4)))
+        tab = opendyn.TabulatedAssignment(pairs=pairs, d_s=2, d_r=2)
+        f = write_json(tmp_path, "tab.json", opendyn.assignment_to_json(tab))
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "check", f]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["consistent"] and rep["linearity_residual"] <= 1e-12
+        assert "pechukas" not in rep
+        assert rep["thresholds"] == {"consistency": 1e3 * config.DEFAULT_TOL}
+
     def test_out_report_written(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["--out", str(out), "check", flip_file(tmp_path)]) == 2
@@ -166,6 +198,14 @@ class TestPaperCases:
     def test_correlated_other_strength(self, capsys):
         assert main(["paper-case", "correlated", "--c", "0.8"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("c, witnessed", [("-0.5", True), ("0", False)])
+    def test_pechukas_sign_and_product(self, tmp_path, c, witnessed):
+        out = tmp_path / "case.json"
+        assert main(["--out", str(out), "paper-case", "pechukas", "--c", c]) == 0
+        vals = {ch["label"]: ch["value"] for ch in json.loads(out.read_text())["checks"]}
+        assert vals["witness min eigenvalue"] == -abs(float(c)) / 4
+        assert vals.get("witness found for the correlated assignment", False) == witnessed
 
     def test_c_out_of_range(self):
         assert main(["paper-case", "pechukas", "--c", "1.5"]) == 1

@@ -19,6 +19,7 @@ from qdynmaps.opendyn import (
     dephasing_assignment,
     extend_linearly,
     inconsistency_analysis,
+    pechukas_report,
     pechukas_witness,
     reduced_map,
 )
@@ -46,6 +47,30 @@ def four_state_table(reservoirs=None):
         d_s=2,
         d_r=2,
     )
+
+
+def random_consistent_map(rng, d_s, d_r, kind, scale):
+    """rho -> rho (x) tau plus a term of vanishing reservoir trace, with largest
+    entry ``scale``: tr(rho) K for kind "constant", a random Hermiticity-
+    preserving linear map for kind "linear"."""
+    n = d_s * d_r
+
+    def herm(m):
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return (g + g.conj().T) / 2
+
+    def drop_marginal(x):
+        return x - kron(partial_trace(x, (d_s, d_r)), np.eye(d_r) / d_r)
+
+    base = ProductAssignment(rho_r=states.random_density(d_r, rng), d_s=d_s)
+    if kind == "constant":
+        k = drop_marginal(herm(n))
+        return AffineAssignment(linear=base.linear, constant=scale * k / np.abs(k).max(),
+                                d_s=d_s, d_r=d_r)
+    t = channels.transfer_from_choi(herm(d_s * n), d_s, n).transfer
+    delta = np.stack([vec(drop_marginal(unvec(col, n))) for col in t.T], axis=1)
+    return AffineAssignment(linear=base.linear + scale * delta / np.abs(delta).max(),
+                            constant=np.zeros((n, n)), d_s=d_s, d_r=d_r)
 
 
 def random_consistent_affine(rng, target_center_margin=0.01):
@@ -154,10 +179,13 @@ class TestAssignmentIsSuperoperator:
 
     @pytest.mark.parametrize("c", [-0.75, 0.5, 1.0])
     def test_positivity_search_is_the_pechukas_search(self, c):
+        # the Pechukas value is exact and never above the positivity search's
         phi = correlated_assignment(c)
         rep = channels.is_positive_map(phi)
         assert rep.is_positive == "certified-violation"
-        assert rep.witness_min_eigenvalue == pechukas_witness(phi)[1]
+        value = pechukas_witness(phi)[1]
+        assert abs(value - (-abs(c) / 4)) <= 1e-15
+        assert value <= rep.witness_min_eigenvalue + 1e-12
 
 
 class TestConsistency:
@@ -181,6 +209,19 @@ class TestConsistency:
         rep = check_consistency(phi, [rho])
         assert abs(rep.max_residual - trace_norm(rho - np.diag(np.diag(rho)))) < 1e-12
         assert not rep.consistent
+
+    def test_exact_residuals_pinned(self):
+        rng = np.random.default_rng(1)
+        tau = states.random_density(2, rng)
+        # tr(tau) = 1 up to rounding
+        assert pechukas_report(ProductAssignment(rho_r=tau, d_s=2)).consistency_residual <= 1e-15
+        assert pechukas_report(ProductAssignment(rho_r=I2 / 2, d_s=2)).consistency_residual == 0.0
+        for c in (-1.0, -0.3, 0.5, 1.0):
+            rep = pechukas_report(correlated_assignment(c))
+            assert rep.consistency_residual == 0.0 and rep.consistent
+        # the off-diagonal matrix units lose their whole image
+        rep = pechukas_report(dephasing_assignment(tau))
+        assert rep.consistency_residual == 1.0 and rep.verdict == "inconsistent"
 
 
 class TestLinearity:
@@ -333,6 +374,70 @@ class TestPechukasWitness:
         with pytest.raises(ValueError, match="inconsistent"):
             pechukas_witness(dephasing_assignment(I2 / 2))
 
+    def test_table_rejected_up_front(self):
+        with pytest.raises(TypeError, match="extend_linearly"):
+            pechukas_witness(four_state_table())
+        with pytest.raises(TypeError, match="extend_linearly"):
+            pechukas_report(four_state_table())
+
+    def test_product_decided_without_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a product map ran a search")
+
+        monkeypatch.setattr(opendyn, "_qubit_pechukas_search", no_search)
+        monkeypatch.setattr(opendyn, "minimize_output_min_eig", no_search)
+        rng = np.random.default_rng(9)
+        for d_s, d_r in ((2, 2), (2, 3), (3, 2)):
+            phi = ProductAssignment(rho_r=states.random_density(d_r, rng), d_s=d_s)
+            assert pechukas_report(phi).verdict == "product"
+            assert pechukas_witness(phi) == (None, 0.0)
+        # a product with a non-PSD reservoir matrix is not positive: any pure state
+        bad = np.diag([1.25, -0.25]).astype(complex)
+        witness, value = pechukas_witness(ProductAssignment(rho_r=bad, d_s=2))
+        assert value == -0.25
+        assert matcore.min_eig(assign(ProductAssignment(rho_r=bad, d_s=2), witness)) == -0.25
+
+    @pytest.mark.parametrize("c, verdict, witnessed", [
+        (1e-12, "product", False),  # deviation 2.5e-13 <= tol
+        (1e-8, "non-product", False),  # value -2.5e-9 above the witness margin -1e-8
+        (1e-6, "non-product", True),  # deviation 2.5e-7: a tol-scale threshold keeps it
+    ])
+    def test_product_threshold_at_tolerance_scale(self, c, verdict, witnessed):
+        phi = correlated_assignment(c)
+        assert pechukas_report(phi).verdict == verdict
+        witness, value = pechukas_witness(phi)
+        assert (witness is not None) == witnessed
+        # a product verdict reports 0.0, within the threshold of -c/4
+        assert abs(value + c / 4) <= (1e-15 if verdict == "non-product" else 1e-12)
+
+    def test_qutrit_system_keeps_the_search(self):
+        rng = np.random.default_rng(10)
+        phi = random_consistent_map(rng, 3, 2, "constant", 0.2)
+        assert pechukas_report(phi).verdict == "non-product"
+        value, vec, samples = channels.minimize_output_min_eig(phi, budget=500, seed=4)
+        witness, got = pechukas_witness(phi, budget=500, seed=4)
+        assert got == value and witness is not None
+        assert np.array_equal(witness, states.projector(vec))
+
+    @pytest.mark.parametrize("d_r", [2, 3])
+    @pytest.mark.parametrize("kind", ["constant", "linear"])
+    def test_decided_verdict_agrees_with_the_search(self, d_r, kind):
+        # the seeded grid-and-descent search over pure states, as it ran
+        # before the verdict was decided, is the reference
+        rng = np.random.default_rng(100 * d_r + len(kind))
+        for i, scale in enumerate(np.linspace(0.0, 0.3, 24)):
+            phi = random_consistent_map(rng, 2, d_r, kind, scale)
+            rep = pechukas_report(phi)
+            assert rep.verdict == ("product" if scale == 0.0 else "non-product")
+            witness, value = pechukas_witness(phi, seed=i)
+            old_val, old_vec, samples = channels.minimize_output_min_eig(phi, seed=i)
+            old = channels.certify_violation(phi, old_val, old_vec, samples)
+            if old.is_positive == "certified-violation":
+                assert rep.verdict == "non-product" and witness is not None
+            assert value <= old_val + 1e-9
+            if witness is not None:
+                assert abs(matcore.min_eig(assign(phi, witness)) - value) <= 1e-12
+
 
 class TestInconsistencyAnalysis:
     def test_consistent_trajectory_is_exact(self):
@@ -393,6 +498,21 @@ class TestInconsistencyAnalysis:
             )
             assert abs(dev - expected) < 1e-10
         assert rep.deviation.max() > 1e-3  # this configuration genuinely drifts
+
+    def test_reduced_dynamics_reused_bit_identically(self):
+        phi = dephasing_assignment(I2 / 2)
+        initial = kron(from_bloch((0.6, 0.1, 0.2)), I2 / 2)
+        gen = ("hamiltonian", kron(SIGMA_X, SIGMA_Z) + 0.3 * kron(SIGMA_Z, SIGMA_X))
+        times = np.linspace(0, 2, 9)
+        rd = ReducedDynamics(phi=phi, generator=gen)
+        a = inconsistency_analysis(phi, initial, gen, times)
+        b = inconsistency_analysis(phi, initial, rd, times)
+        assert a.fixed_point_offset == b.fixed_point_offset
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.deviation, b.deviation)
+        with pytest.raises(ValueError, match="dimensions"):
+            other = ReducedDynamics(phi=ProductAssignment(rho_r=np.eye(3) / 3, d_s=2),
+                                    generator=("unitary", np.eye(6)))
+            inconsistency_analysis(phi, initial, other, times)
 
     def test_marginal_mismatch_rejected(self):
         phi = ProductAssignment(rho_r=I2 / 2, d_s=2)
