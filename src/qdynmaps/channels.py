@@ -23,8 +23,10 @@ Positivity is 1-positivity, so :func:`is_positive_map` is
   dim_in >= 2) gets a seeded pure-state search, whose "no-violation-found"
   is not a proof. :func:`minimize_output_min_eig` scores a grid of pure
   states, then polishes its best points: by a batched see-saw through the
-  adjoint map when the searched map's dim_in >= 3, by a shrinking random
-  descent for qubit inputs, where the see-saw was measured slower.
+  adjoint map, also started from the Choi seeds of :func:`_choi_seeds`, when
+  the searched input dim_in * n is at least 3 (default grid ``SEEDED_GRID``),
+  by a shrinking random descent for qubit inputs (default grid 2000), where
+  the see-saw was measured slower. An explicit ``budget`` is the grid size.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, states
-from .config import psd_threshold, tolerance
+from .config import psd_threshold, tolerance, witness_margin
 from .matcore import dag, kron
 
 __all__ = [
@@ -279,8 +281,9 @@ def is_cp(t: Superoperator) -> PositivityReport:
 # -- pure-state violation search ---------------------------------------------
 
 DESCENT_STEPS = 50  # shrinking local-descent steps after a qubit grid search
-SEESAW_STARTS = 8  # best grid points polished by the see-saw, one chain each
+SEESAW_STARTS = 8  # best grid points, and Choi seeds, polished by the see-saw, one chain each
 SEESAW_STEPS = 50  # cap on see-saw steps; most searches stop far earlier
+SEEDED_GRID = 256  # default grid of a search seeded from the Choi spectrum (dim_in * n >= 3)
 
 
 def fibonacci_bloch(n: int) -> np.ndarray:
@@ -311,20 +314,22 @@ def minimize_output_min_eig(
     budget: int = 2000,
     seed: int = 0,
     extra_candidates: np.ndarray | None = None,
+    starts: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, int]:
     """Minimize lmin(t(|psi><psi|)) over pure states psi.
 
-    A grid comes first: the extra candidates, then a Fibonacci lattice for
-    qubits or seeded uniform random pure states otherwise. Its best points
-    are then polished:
+    A grid of ``budget`` states comes first: the extra candidates, then a
+    Fibonacci lattice for qubits or seeded uniform random pure states
+    otherwise. Its best points are then polished:
 
     - for dim_in >= 3, by a see-saw (alternating minimisation; Ling, Nie,
-      Qi & Ye, SIAM J. Optim. 20, 2009) from the ``SEESAW_STARTS`` best
-      grid points. <phi|t(psi psi^dag)|phi> is biquadratic: phi becomes the
-      bottom eigenvector of t(psi psi^dag), then psi that of
-      adj(t)(phi phi^dag), which never raises a chain's value. It stops
-      after ``SEESAW_STEPS`` steps, or once a step lowers the best value by
-      at most 1e-12 * max(1, |best|);
+      Qi & Ye, SIAM J. Optim. 20, 2009) from the unit rows of ``starts``,
+      each counted as a sample, and the ``SEESAW_STARTS`` best grid points.
+      <phi|t(psi psi^dag)|phi> is biquadratic: phi becomes the bottom
+      eigenvector of t(psi psi^dag), then psi that of adj(t)(phi phi^dag),
+      which never raises a chain's value. It stops after ``SEESAW_STEPS``
+      steps, or once a step lowers the best value by at most
+      1e-12 * max(1, |best|);
     - for qubits, by a 50-step shrinking random descent from the best grid
       point. The see-saw is slower there: on positive maps it runs all its
       steps, each two eigensolver calls, where a descent step is one
@@ -346,7 +351,11 @@ def minimize_output_min_eig(
     samples = vs.shape[0]
     vals = matcore.min_eig_batch(t.apply_batch(_pure_batch_from_vectors(vs)))
     if dim >= 3:
-        return _seesaw(t, vs[np.argsort(vals)[:SEESAW_STARTS]], samples)
+        psi = vs[np.argsort(vals)[:SEESAW_STARTS]]
+        if starts is not None:
+            psi = np.concatenate([starts, psi], axis=0)
+            samples += len(starts)
+        return _seesaw(t, psi, samples)
     best = int(np.argmin(vals))
     best_val = float(vals[best])
     best_vec = vs[best]
@@ -395,11 +404,12 @@ def certify_violation(apply, best_val: float, best_vec: np.ndarray,
     """Verdict of a pure-state search that ended at best_vec.
 
     The violation is certified only when best_val lies below the witness
-    margin, 10 * tol scaled by the largest entry of the witness's image.
+    margin, ``config.witness_margin()`` scaled by the largest entry of the
+    witness's image.
     """
     witness = states.projector(best_vec)
     out_scale = max(1.0, float(np.abs(apply(witness)).max()))
-    if best_val < -10.0 * tolerance() * out_scale:
+    if best_val < -witness_margin() * out_scale:
         return PositivityReport(
             is_positive="certified-violation",
             witness=witness,
@@ -416,7 +426,7 @@ def _with_choi(rep: PositivityReport, cp: PositivityReport,
                    certificate=certificate)
 
 
-def is_positive_map(t: Superoperator, budget: int = 2000, seed: int = 0) -> PositivityReport:
+def is_positive_map(t: Superoperator, budget: int | None = None, seed: int = 0) -> PositivityReport:
     """Positivity verdict: 1-positivity, see :func:`is_n_positive`.
 
     "certified-violation" carries a witness whose image genuinely fails
@@ -440,35 +450,43 @@ def extend_with_identity(t: Superoperator, n: int) -> Superoperator:
                          transfer=transfer.reshape(dout_c**2, din_c**2))
 
 
-def _choi_witness(t: Superoperator, n: int) -> np.ndarray:
-    """Unit input of T (x) I_n (ordering S (x) W) built from the bottom Choi
-    eigenvector; needs n >= min(dim_in, dim_out) and a Hermitian Choi matrix.
+def _choi_seeds(t: Superoperator, n: int, k: int = SEESAW_STARTS) -> np.ndarray:
+    """Unit inputs of T (x) I_n (ordering S (x) W), rows of length dim_in * n,
+    one per bottom eigenvector of the Hermitian part of the Choi matrix, for
+    the k lowest (Choi, Linear Algebra Appl. 10, 1975).
 
-    Reshape that eigenvector to Y[i, a] (input i, output a) and take the SVD
-    Y = U S V^dag. Then psi = conj(U) sqrt(S), in the first levels of W,
-    and phi = conj(V) sqrt(S) give <phi|(T (x) I)(psi psi^dag)|phi> =
-    lambda_min(C) / (sum S)^2 for unit psi and phi. As (sum S)^2 <= dim_in,
-    the minimum eigenvalue of the image is at most lambda_min(C) / dim_in,
-    the value of the maximally entangled input.
+    Reshape eigenvector j to Y[i, a] (input i, output a) and take the SVD
+    Y = U S V^dag. Seed j is conj(U) sqrt(S), cut to its top n Schmidt
+    terms, in the first levels of W. Uncut (n >= min(dim_in, dim_out)) and
+    for a Hermitian C, seed 0 and phi = conj(V) sqrt(S) give
+    <phi|(T (x) I)(psi psi^dag)|phi> = lambda_min(C) / (sum S)^2 for unit
+    psi and phi. As (sum S)^2 <= dim_in, the minimum eigenvalue of its image
+    is at most lambda_min(C) / dim_in, the value of the maximally entangled input.
     """
     d_in, d_out = t.dim_in, t.dim_out
-    y = matcore.herm_eig(choi_of(t)).eigenvectors[:, 0].reshape(d_in, d_out)
+    _, v = matcore.eigh_batch(choi_of(t)[None])
+    y = v[0, :, :k].T.reshape(-1, d_in, d_out)
     u, s, _ = np.linalg.svd(y, full_matrices=False)
-    psi = np.zeros((d_in, n), dtype=complex)
-    psi[:, : s.size] = u.conj() * np.sqrt(s)
-    return psi.reshape(-1) / np.linalg.norm(psi)
+    r = min(n, s.shape[1])
+    psi = np.zeros((len(y), d_in, n), dtype=complex)
+    psi[:, :, :r] = u[:, :, :r].conj() * np.sqrt(s[:, None, :r])
+    # one norm per seed: norm(axis=1) sums in another order than the unbatched witness
+    return np.stack([p.reshape(-1) / np.linalg.norm(p) for p in psi])
 
 
-def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -> PositivityReport:
+def is_n_positive(t: Superoperator, n: int, budget: int | None = None,
+                  seed: int = 0) -> PositivityReport:
     """n-positivity verdict for t, through T (x) I_n.
 
     Decided from the Choi spectrum (``certificate="choi"``, no samples) when
     t is CP, which makes it n-positive for every n, and when n >= dim_in,
     where n-positivity is complete positivity: an NCP t is then a
-    "certified-violation" whose witness is :func:`_choi_witness` and whose
-    value is the minimum eigenvalue of the witness's image. Otherwise a
-    falsification search runs, with the maximally entangled state among
-    its candidates when n > 1.
+    "certified-violation" whose witness is the first of :func:`_choi_seeds`
+    and whose value is the minimum eigenvalue of the witness's image.
+    Otherwise a falsification search runs, with the maximally entangled
+    state among its candidates when n > 1. When dim_in * n >= 3 the search
+    also starts from the Choi seeds, and ``budget=None`` takes a grid of
+    ``SEEDED_GRID`` states; for a qubit input it takes 2000.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -477,7 +495,7 @@ def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -
         return replace(cp, is_positive="no-violation-found")
     comp = extend_with_identity(t, n)
     if n >= t.dim_in and matcore.is_hermitian(choi_of(t)):
-        witness = states.projector(_choi_witness(t, n))
+        witness = states.projector(_choi_seeds(t, n, 1)[0])
         rep = PositivityReport(is_positive="certified-violation", witness=witness,
                                witness_min_eigenvalue=matcore.min_eig(comp.apply(witness)))
         return _with_choi(rep, cp, "choi")
@@ -487,10 +505,13 @@ def is_n_positive(t: Superoperator, n: int, budget: int = 2000, seed: int = 0) -
         ent = np.zeros(t.dim_in * n, dtype=complex)
         ent[np.arange(k) * (n + 1)] = 1.0  # sum_i |i>|i> over the first k levels
         extra = ent[None, :] / np.linalg.norm(ent)
-    best_val, best_vec, samples = minimize_output_min_eig(
-        comp, budget=budget, seed=seed, extra_candidates=extra
-    )
-    return _with_choi(certify_violation(comp.apply, best_val, best_vec, samples), cp)
+    if comp.dim_in == 2:
+        search = minimize_output_min_eig(comp, 2000 if budget is None else budget, seed, extra)
+    else:  # the see-saw also starts from the Choi seeds and the entangled state
+        starts = _choi_seeds(t, n) if extra is None else np.concatenate([_choi_seeds(t, n), extra])
+        search = minimize_output_min_eig(comp, SEEDED_GRID if budget is None else budget, seed,
+                                         starts=starts)
+    return _with_choi(certify_violation(comp.apply, *search), cp)
 
 
 def adjoint_map(t: Superoperator) -> Superoperator:

@@ -89,6 +89,7 @@ def cmd_check(args) -> int:
             "positivity": pos.is_positive,
             "samples_used": pos.samples_used,
             "certificate": pos.certificate,
+            "thresholds": {"witness": config.witness_margin()},
         })
     elif "variant" in obj:
         try:
@@ -398,7 +399,7 @@ def cmd_domain(args) -> int:
     print(f"center I/2: member={rep.center_member} (lmin {rep.center_min_eigenvalue:.6f})")
     for d, r in rep.radii:
         print(f"radius along {d}: {r:.8f}")
-    neg = rep.samples[rep.samples[:, 3] < -10 * config.tolerance()]
+    neg = rep.samples[rep.samples[:, 3] < -config.witness_margin()]
     print(f"landscape: {len(rep.samples)} samples, {len(neg)} outside the domain")
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -425,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="audit a superoperator or assignment-map file")
     p_check.add_argument("file")
-    p_check.add_argument("--budget", type=int, default=2000,
-                         help="positivity search sample budget")
+    p_check.add_argument("--budget", type=int, default=None,
+                         help="states in the positivity search's grid (default 2000 for "
+                              "qubit inputs, else 256 beside the Choi-spectrum seeds)")
     p_check.set_defaults(func=cmd_check)
 
     p_case = sub.add_parser("paper-case", help="reproduce a worked example")

@@ -43,3 +43,9 @@ def product_threshold() -> float:
     consistent assignment counts as the product map. It is the tolerance
     itself: a correlation term just above it must still count as one."""
     return _tol
+
+
+def witness_margin() -> float:
+    """Margin, scaled by the image's largest entry, by which a searched witness
+    value must lie below zero to certify a violation."""
+    return 10.0 * _tol

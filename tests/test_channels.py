@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import make_verdict_corpus
 from qdynmaps import channels, config, matcore, opendyn, states
 from qdynmaps.channels import (
     KrausSet,
@@ -425,6 +426,58 @@ class TestSearch:
         _, _, samples = channels.minimize_output_min_eig(comp, budget=300, extra_candidates=extra)
         cap = 300 + extras + channels.SEESAW_STARTS * channels.SEESAW_STEPS
         assert 300 <= samples <= cap
+
+
+def _max_entangled(d: int, n: int) -> np.ndarray:
+    k = min(d, n)
+    ent = np.zeros(d * n, dtype=complex)
+    ent[np.arange(k) * (n + 1)] = 1.0
+    return ent[None, :] / np.linalg.norm(ent)
+
+
+class TestChoiSeeds:
+    """The seeded search of `is_n_positive` for dim_in * n >= 3."""
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_seeds_alone_give_the_transpose_value(self, d):
+        rep = is_n_positive(transpose_superoperator(d), 2, budget=0)
+        assert rep.certificate is None and rep.is_positive == "certified-violation"
+        assert abs(rep.witness_min_eigenvalue + 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("d, a", [(3, 1.5), (3, 2.0), (3, 2.9), (4, 1.2), (4, 2.5),
+                                      (4, 3.9)])
+    def test_seeds_alone_give_the_t_a_value(self, d, a):
+        # T_a(rho) = (tr(rho) I - a rho)/(d - a): a pure image has lmin (1 - a)/(d - a)
+        rep = is_n_positive(make_verdict_corpus._t_a(d, a), 1, budget=0)
+        assert rep.certificate is None and rep.is_positive == "certified-violation"
+        assert abs(rep.witness_min_eigenvalue - (1 - a) / (d - a)) <= 1e-9
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (3, 1), (3, 2), (4, 1), (4, 3)])
+    def test_seeds_are_unit_vectors(self, d, n):
+        t = random_shifted_choi_map(d, np.random.default_rng(d + n))
+        for k in range(1, channels.SEESAW_STARTS + 1):
+            seeds = channels._choi_seeds(t, n, k)
+            # at most one seed per Choi eigenvector
+            assert seeds.shape == (min(k, d * d), d * n)
+            assert np.abs(np.linalg.norm(seeds, axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_default_search_certifies_what_the_full_grid_certifies(self, d, n):
+        # reference: the 2000-state grid and see-saw without Choi seeds
+        rng = np.random.default_rng(1000 * d + n)
+        extra = _max_entangled(d, n) if n > 1 else None
+        certified = 0
+        for _ in range(40):
+            t = random_shifted_choi_map(d, rng)
+            comp = extend_with_identity(t, n)
+            ref = channels.certify_violation(comp.apply, *channels.minimize_output_min_eig(
+                comp, budget=2000, extra_candidates=extra))
+            rep = is_n_positive(t, n)
+            if ref.is_positive == "certified-violation":
+                certified += 1
+                assert rep.is_positive == "certified-violation"
+                assert rep.witness_min_eigenvalue <= ref.witness_min_eigenvalue + 1e-5
+        assert certified > 0
 
 
 class TestAdjoint:

@@ -133,6 +133,19 @@ class TestCheckCertificate:
         rep = json.loads(out.read_text())
         assert rep["certificate"] is None and rep["samples_used"] >= 500
 
+    def test_seeded_search_at_default_budget_records_its_margin(self, tmp_path):
+        # T_a at d = 3, a = 2: not positive, searched on the 256-state grid beside the seeds
+        i3 = channels.vec(np.eye(3))
+        t3 = channels.Superoperator(dim_in=3, dim_out=3, transfer=np.outer(i3, i3) - 2 * np.eye(9))
+        f = write_json(tmp_path, "t3.json", channels.superoperator_to_json(t3))
+        out = tmp_path / "report.json"
+        assert main(["--tol", "1e-7", "--out", str(out), "check", f]) == 2
+        rep = json.loads(out.read_text())
+        assert rep["positivity"] == "certified-violation" and rep["certificate"] is None
+        assert 256 <= rep["samples_used"] < 2000
+        assert rep["thresholds"] == {"witness": config.witness_margin()}
+        assert abs(rep["thresholds"]["witness"] - 1e-6) <= 1e-20
+
 
 class TestInputErrors:
     def test_missing_file(self, tmp_path):
