@@ -20,13 +20,15 @@ Positivity is 1-positivity, so :func:`is_positive_map` is
   NCP map is a "certified-violation", with a witness built from the bottom
   Choi eigenvector;
 - an NCP map with n < dim_in (for positivity: every NCP map with
-  dim_in >= 2) gets a seeded pure-state search, whose "no-violation-found"
-  is not a proof. :func:`minimize_output_min_eig` scores a grid of pure
-  states, then polishes its best points: by a batched see-saw through the
-  adjoint map, also started from the Choi seeds of :func:`_choi_seeds`, when
-  the searched input dim_in * n is at least 3 (default grid ``SEEDED_GRID``),
-  by a shrinking random descent for qubit inputs (default grid 2000), where
-  the see-saw was measured slower. An explicit ``budget`` is the grid size.
+  dim_in >= 2) gets a pure-state search, whose "no-violation-found" is not
+  a proof. :func:`minimize_output_min_eig`, the one pure-state search (the
+  Pechukas witness of ``opendyn`` runs it too), scores a grid of pure states,
+  then polishes its best points by see-saw chains: for a searched input
+  dim_in * n of at least 3, batched through the adjoint map and also started
+  from the Choi seeds of :func:`_choi_seeds` (default grid ``SEEDED_GRID``);
+  for qubit inputs, on the Bloch sphere with Newton steps, after the six
+  Pauli eigenstates, which are always scored (default grid 2000; ``seed`` is
+  unused). An explicit ``budget`` is the grid size.
 """
 
 from __future__ import annotations
@@ -280,7 +282,6 @@ def is_cp(t: Superoperator) -> PositivityReport:
 
 # -- pure-state violation search ---------------------------------------------
 
-DESCENT_STEPS = 50  # shrinking local-descent steps after a qubit grid search
 SEESAW_STARTS = 8  # best grid points, and Choi seeds, polished by the see-saw, one chain each
 SEESAW_STEPS = 50  # cap on see-saw steps; most searches stop far earlier
 SEEDED_GRID = 256  # default grid of a search seeded from the Choi spectrum (dim_in * n >= 3)
@@ -318,64 +319,119 @@ def minimize_output_min_eig(
 ) -> tuple[float, np.ndarray, int]:
     """Minimize lmin(t(|psi><psi|)) over pure states psi.
 
-    A grid of ``budget`` states comes first: the extra candidates, then a
-    Fibonacci lattice for qubits or seeded uniform random pure states
-    otherwise. Its best points are then polished:
+    A grid of ``budget`` states, after the unit rows of ``extra_candidates``,
+    is scored first, and its best points are polished:
 
-    - for dim_in >= 3, by a see-saw (alternating minimisation; Ling, Nie,
-      Qi & Ye, SIAM J. Optim. 20, 2009) from the unit rows of ``starts``,
-      each counted as a sample, and the ``SEESAW_STARTS`` best grid points.
-      <phi|t(psi psi^dag)|phi> is biquadratic: phi becomes the bottom
-      eigenvector of t(psi psi^dag), then psi that of adj(t)(phi phi^dag),
-      which never raises a chain's value. It stops after ``SEESAW_STEPS``
-      steps, or once a step lowers the best value by at most
-      1e-12 * max(1, |best|);
-    - for qubits, by a 50-step shrinking random descent from the best grid
-      point. The see-saw is slower there: on positive maps it runs all its
-      steps, each two eigensolver calls, where a descent step is one
-      closed-form 2x2 batch.
+    - for qubit inputs, by :func:`_bloch_search`, which always scores the six
+      Pauli eigenstates before the candidates and a Fibonacci lattice, and
+      ignores ``seed`` and ``starts``;
+    - for dim_in >= 3, on seeded uniform random pure states, by a see-saw
+      (alternating minimisation; Ling, Nie, Qi & Ye, SIAM J. Optim. 20,
+      2009) from the unit rows of ``starts``, each counted as a sample, and
+      the ``SEESAW_STARTS`` best grid points. <phi|t(psi psi^dag)|phi> is
+      biquadratic: phi becomes the bottom eigenvector of t(psi psi^dag), then
+      psi that of adj(t)(phi phi^dag), which never raises a chain's value.
 
-    Returns (best lmin, best input state vector, samples used); best lmin
-    is the minimum eigenvalue of that vector's image.
+    Chains stop after ``SEESAW_STEPS`` steps, or once a step lowers the best
+    value by at most 1e-12 * max(1, |best|). Returns (best lmin, best input
+    state vector, samples used); best lmin is the minimum eigenvalue of that
+    vector's image. Raises ValueError for a negative ``budget``.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     dim = t.dim_in
-    rng = np.random.default_rng(seed)
     if dim == 2:
-        vs = _bloch_to_vectors(fibonacci_bloch(budget))
-    else:
-        g = rng.standard_normal((budget, dim)) + 1j * rng.standard_normal((budget, dim))
-        vs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        axes = np.eye(3)
+        rs = [axes, -axes, fibonacci_bloch(budget)]
+        if extra_candidates is not None:  # r_k = tr(psi psi^dag sigma_k)
+            rs.insert(2, np.einsum("nij,kji->nk", _pure_batch_from_vectors(extra_candidates),
+                                   np.stack(states.PAULIS)).real)
+        return _bloch_search(t, np.concatenate(rs))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((budget, dim)) + 1j * rng.standard_normal((budget, dim))
+    vs = g / np.linalg.norm(g, axis=1, keepdims=True)
     if extra_candidates is not None:
         vs = np.concatenate([extra_candidates, vs], axis=0)
-
     samples = vs.shape[0]
     vals = matcore.min_eig_batch(t.apply_batch(_pure_batch_from_vectors(vs)))
-    if dim >= 3:
-        psi = vs[np.argsort(vals)[:SEESAW_STARTS]]
-        if starts is not None:
-            psi = np.concatenate([starts, psi], axis=0)
-            samples += len(starts)
-        return _seesaw(t, psi, samples)
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    best_vec = vs[best]
+    psi = vs[np.argsort(vals)[:SEESAW_STARTS]]
+    if starts is not None:
+        psi = np.concatenate([starts, psi], axis=0)
+        samples += len(starts)
+    return _seesaw(t, psi, samples)
 
-    sigma = 0.5
-    proposals = 32
-    for _ in range(DESCENT_STEPS):
-        g = rng.standard_normal((proposals, dim)) + 1j * rng.standard_normal(
-            (proposals, dim)
-        )
-        cand = best_vec[None, :] + sigma * g
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cv = matcore.min_eig_batch(t.apply_batch(_pure_batch_from_vectors(cand)))
-        samples += proposals
-        k = int(np.argmin(cv))
-        if cv[k] < best_val:
-            best_val = float(cv[k])
-            best_vec = cand[k]
-        sigma *= 0.78
-    return best_val, best_vec, samples
+
+def _bloch_search(t: Superoperator, rs: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Minimise lmin(t(psi psi^dag)) over pure qubit inputs psi, starting
+    from the (N, 3) unit Bloch vectors rs.
+
+    With A = t(I/2) and B_i = t(sigma_i/2), the state of unit Bloch vector r
+    has the image A + r.B, with bottom eigenpair (lambda_0, phi). All of rs
+    are scored, and the ``SEESAW_STARTS`` best start chains. Each step offers
+    every chain two moves and keeps the lower image eigenvalue, so no step
+    raises a chain's value:
+
+    - the see-saw: r = -b/|b| with b_i = <phi|B_i|phi> minimises
+      <phi|A + r.B|phi> on the sphere;
+    - a Newton step on the sphere: lambda_0 has the gradient b and, by
+      second-order perturbation theory, the Hessian
+      H_ij = 2 Re sum_m <phi|B_i|phi_m><phi_m|B_j|phi> / (lambda_0 - lambda_m);
+      on the sphere, H - (r.b) I projected on the tangent plane. The
+      see-saw alone converges linearly and crawls where the minimum is
+      flat; with Newton, chains settle in a few steps. Where lambda_0 is
+      degenerate or b vanishes, the move is not finite and is not offered.
+
+    Stops as :func:`minimize_output_min_eig` says. Returns (best lmin, its
+    input state vector, Bloch vectors scored).
+    """
+    paulis = np.stack([states.I2, *states.PAULIS]) / 2.0
+    images = t.apply_batch(paulis)
+    n = images.shape[1]
+    a, b = images[0], images[1:]
+    b_rows = b.transpose(1, 0, 2).reshape(n, 3 * n)  # [p, (i, q)] = B_i[p, q]
+
+    def image(rs):
+        return a + (rs @ b.reshape(3, n * n)).reshape(-1, n, n)
+
+    axes = np.eye(3)
+    vals = matcore.min_eig_batch(image(rs))
+    samples = len(rs)
+    rs = rs[np.argsort(vals, kind="stable")[:SEESAW_STARTS]]
+    w, v = matcore.eigh_batch(image(rs))
+    k = int(np.argmin(w[:, 0]))
+    best_val, best_r = float(w[k, 0]), rs[k]
+    for _ in range(SEESAW_STEPS):
+        # bm[k, i, m] = <phi|B_i|phi_m> for chain k
+        bm = (v[:, :, 0].conj() @ b_rows).reshape(-1, 3, n) @ v
+        grad = bm[:, :, 0].real
+        with np.errstate(all="ignore"):  # non-finite moves are dropped below
+            seesaw = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
+            s = bm[:, :, 1:] / np.sqrt(w[:, None, 1:] - w[:, None, :1])
+            proj = axes - rs[:, :, None] * rs[:, None, :]
+            hess = (-2.0 * (s @ s.conj().transpose(0, 2, 1)).real
+                    - np.einsum("ki,ki->k", rs, grad)[:, None, None] * axes)
+            try:
+                step = np.linalg.solve(proj @ hess @ proj + axes - proj,
+                                       -(proj @ grad[:, :, None]))[..., 0]
+            except np.linalg.LinAlgError:
+                step = np.full_like(rs, np.nan)
+            newton = rs + step
+            newton /= np.linalg.norm(newton, axis=1, keepdims=True)
+        seesaw = np.where(np.isfinite(seesaw).all(axis=1, keepdims=True), seesaw, rs)
+        newton = np.where(np.isfinite(newton).all(axis=1, keepdims=True), newton, seesaw)
+        cand = np.concatenate([seesaw, newton])
+        cw, cv = matcore.eigh_batch(image(cand))
+        samples += len(cand)
+        chains = np.arange(len(rs))
+        pick = chains + len(rs) * (cw[len(rs):, 0] < cw[: len(rs), 0])
+        rs, w, v = cand[pick], cw[pick], cv[pick]
+        k = int(np.argmin(w[:, 0]))
+        gain = best_val - float(w[k, 0])
+        if gain > 0:
+            best_val, best_r = float(w[k, 0]), rs[k]
+        if gain <= 1e-12 * max(1.0, abs(best_val)):
+            break
+    return best_val, _bloch_to_vectors(best_r[None])[0], samples
 
 
 def _seesaw(t: Superoperator, psi: np.ndarray, samples: int) -> tuple[float, np.ndarray, int]:
@@ -486,10 +542,13 @@ def is_n_positive(t: Superoperator, n: int, budget: int | None = None,
     Otherwise a falsification search runs, with the maximally entangled
     state among its candidates when n > 1. When dim_in * n >= 3 the search
     also starts from the Choi seeds, and ``budget=None`` takes a grid of
-    ``SEEDED_GRID`` states; for a qubit input it takes 2000.
+    ``SEEDED_GRID`` states; for a qubit input it takes 2000. A negative
+    ``budget`` raises ValueError, even where the verdict is decided.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     cp = is_cp(t)
     if cp.is_cp:
         return replace(cp, is_positive="no-violation-found")

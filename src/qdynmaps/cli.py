@@ -427,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="audit a superoperator or assignment-map file")
     p_check.add_argument("file")
     p_check.add_argument("--budget", type=int, default=None,
-                         help="states in the positivity search's grid (default 2000 for "
-                              "qubit inputs, else 256 beside the Choi-spectrum seeds)")
+                         help="states in the positivity search's grid, at least 0 "
+                              "(default 2000 for qubit inputs, scored after the six Pauli "
+                              "eigenstates; else 256 beside the Choi-spectrum seeds)")
     p_check.set_defaults(func=cmd_check)
 
     p_case = sub.add_parser("paper-case", help="reproduce a worked example")

@@ -29,8 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, states
-from .channels import Superoperator, _bloch_to_vectors, _readonly, certify_violation
-from .channels import fibonacci_bloch, minimize_output_min_eig
+from .channels import Superoperator, _readonly, certify_violation, minimize_output_min_eig
 from .channels import unvec, vec
 from .config import consistency_threshold, product_threshold, tolerance
 from .matcore import dag, kron, partial_trace, trace_norm
@@ -478,82 +477,6 @@ def pechukas_report(phi: AssignmentMap) -> PechukasReport:
 
 
 PECHUKAS_GRID = 58  # Fibonacci points scored after the six Pauli eigenstates
-PECHUKAS_STARTS = 8  # best candidates polished, one chain each
-PECHUKAS_STEPS = 50  # cap on polish steps; searches measured stop within five
-
-
-def _qubit_pechukas_search(phi: AffineAssignment) -> tuple[float, np.ndarray, int]:
-    """Minimise lmin(Phi(psi psi^dag)) over pure qubit states psi.
-
-    With A = Phi(I/2) and B_i = Phi(sigma_i/2), the state of unit Bloch
-    vector r has the image A + r.B, with bottom eigenpair (lambda_0, phi).
-    Candidates are the six Pauli eigenstates and a Fibonacci grid; the best
-    ``PECHUKAS_STARTS`` start chains. Each step offers every chain two moves
-    and keeps the lower image eigenvalue, so no step raises a chain's value:
-
-    - the see-saw: r = -b/|b| with b_i = <phi|B_i|phi> minimises
-      <phi|A + r.B|phi> on the sphere;
-    - a Newton step on the sphere: lambda_0 has the gradient b and, by
-      second-order perturbation theory, the Hessian
-      H_ij = 2 Re sum_m <phi|B_i|phi_m><phi_m|B_j|phi> / (lambda_0 - lambda_m);
-      on the sphere, H - (r.b) I projected on the tangent plane. The
-      see-saw alone converges linearly and crawls where the minimum is
-      flat; with Newton, chains settle in a few steps. Where lambda_0 is
-      degenerate or b vanishes, the move is not finite and is not offered.
-
-    It stops after ``PECHUKAS_STEPS`` steps, or once a step lowers the best
-    value by at most 1e-12 * max(1, |best|). Returns (best lmin, its input
-    state vector, Bloch vectors scored).
-    """
-    paulis = np.stack([states.I2, states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z]) / 2.0
-    images = phi.apply_batch(paulis)
-    n = images.shape[1]
-    a, b = images[0], images[1:]
-    b_rows = b.transpose(1, 0, 2).reshape(n, 3 * n)  # [p, (i, q)] = B_i[p, q]
-
-    def image(rs):
-        return a + (rs @ b.reshape(3, n * n)).reshape(-1, n, n)
-
-    axes = np.eye(3)
-    rs = np.concatenate([axes, -axes, fibonacci_bloch(PECHUKAS_GRID)])
-    vals = matcore.min_eig_batch(image(rs))
-    samples = len(rs)
-    rs = rs[np.argsort(vals, kind="stable")[:PECHUKAS_STARTS]]
-    w, v = matcore.eigh_batch(image(rs))
-    k = int(np.argmin(w[:, 0]))
-    best_val, best_r = float(w[k, 0]), rs[k]
-    for _ in range(PECHUKAS_STEPS):
-        # bm[k, i, m] = <phi|B_i|phi_m> for chain k
-        bm = (v[:, :, 0].conj() @ b_rows).reshape(-1, 3, n) @ v
-        grad = bm[:, :, 0].real
-        with np.errstate(all="ignore"):  # non-finite moves are dropped below
-            seesaw = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
-            s = bm[:, :, 1:] / np.sqrt(w[:, None, 1:] - w[:, None, :1])
-            proj = axes - rs[:, :, None] * rs[:, None, :]
-            hess = (-2.0 * (s @ s.conj().transpose(0, 2, 1)).real
-                    - np.einsum("ki,ki->k", rs, grad)[:, None, None] * axes)
-            try:
-                step = np.linalg.solve(proj @ hess @ proj + axes - proj,
-                                       -(proj @ grad[:, :, None]))[..., 0]
-            except np.linalg.LinAlgError:
-                step = np.full_like(rs, np.nan)
-            newton = rs + step
-            newton /= np.linalg.norm(newton, axis=1, keepdims=True)
-        seesaw = np.where(np.isfinite(seesaw).all(axis=1, keepdims=True), seesaw, rs)
-        newton = np.where(np.isfinite(newton).all(axis=1, keepdims=True), newton, seesaw)
-        cand = np.concatenate([seesaw, newton])
-        cw, cv = matcore.eigh_batch(image(cand))
-        samples += len(cand)
-        chains = np.arange(len(rs))
-        pick = chains + len(rs) * (cw[len(rs):, 0] < cw[: len(rs), 0])
-        rs, w, v = cand[pick], cw[pick], cv[pick]
-        k = int(np.argmin(w[:, 0]))
-        gain = best_val - float(w[k, 0])
-        if gain > 0:
-            best_val, best_r = float(w[k, 0]), rs[k]
-        if gain <= 1e-12 * max(1.0, abs(best_val)):
-            break
-    return best_val, _bloch_to_vectors(best_r[None])[0], samples
 
 
 def pechukas_witness(
@@ -578,9 +501,10 @@ def pechukas_witness(
     - A product map runs no search: every pure state has the image
       spectrum of psi psi^dag (x) tau, so the value is min(0, lmin(tau)),
       and "no witness" is a proof of positivity.
-    - A non-product qubit map runs :func:`_qubit_pechukas_search`, seeded
-      with the six Pauli eigenstates; ``budget`` and ``seed`` are unused.
-    - For d_s >= 3, ``channels.minimize_output_min_eig(phi, budget, seed)``.
+    - A non-product map runs ``channels.minimize_output_min_eig``: for a
+      qubit system on the six Pauli eigenstates and ``PECHUKAS_GRID``
+      Fibonacci points, polished by Newton Bloch chains (``budget`` and
+      ``seed`` are unused); for d_s >= 3 with ``budget`` and ``seed``.
 
     The witness is returned only when the value clears
     ``channels.certify_violation``'s margin; a non-product map whose value
@@ -596,10 +520,8 @@ def pechukas_witness(
     if rep.verdict == "product":
         value, vec0 = min(0.0, matcore.min_eig(rep.reservoir)), np.eye(phi.d_s)[0]
         return certify_violation(phi, value, vec0, 0).witness, value
-    if phi.d_s == 2:
-        best_val, best_vec, samples = _qubit_pechukas_search(phi)
-    else:
-        best_val, best_vec, samples = minimize_output_min_eig(phi, budget=budget, seed=seed)
+    best_val, best_vec, samples = minimize_output_min_eig(
+        phi, PECHUKAS_GRID if phi.d_s == 2 else budget, seed)
     return certify_violation(phi, best_val, best_vec, samples).witness, best_val
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import make_verdict_corpus
+from descent_reference import ref_minimize_output_min_eig
 from qdynmaps import channels, config, matcore, opendyn, states
 from qdynmaps.channels import (
     KrausSet,
@@ -328,38 +329,6 @@ class TestDecidedPositivity:
         assert rep.is_cp is False
 
 
-def ref_minimize_output_min_eig(apply_batch, dim, budget=2000, seed=0, extra_candidates=None):
-    """The search as it was before the see-saw: a grid, then a 50-step
-    shrinking random descent from its best point, at every dimension."""
-    rng = np.random.default_rng(seed)
-    if dim == 2:
-        vs = channels._bloch_to_vectors(channels.fibonacci_bloch(budget))
-    else:
-        g = rng.standard_normal((budget, dim)) + 1j * rng.standard_normal((budget, dim))
-        vs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    if extra_candidates is not None:
-        vs = np.concatenate([extra_candidates, vs], axis=0)
-    samples = vs.shape[0]
-    vals = matcore.min_eig_batch(apply_batch(channels._pure_batch_from_vectors(vs)))
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    best_vec = vs[best]
-    sigma = 0.5
-    proposals = 32
-    for _ in range(50):
-        g = rng.standard_normal((proposals, dim)) + 1j * rng.standard_normal((proposals, dim))
-        cand = best_vec[None, :] + sigma * g
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cv = matcore.min_eig_batch(apply_batch(channels._pure_batch_from_vectors(cand)))
-        samples += proposals
-        k = int(np.argmin(cv))
-        if cv[k] < best_val:
-            best_val = float(cv[k])
-            best_vec = cand[k]
-        sigma *= 0.78
-    return best_val, best_vec, samples
-
-
 def random_shifted_choi_map(d: int, rng) -> Superoperator:
     """Map whose Choi matrix is a Wishart matrix shifted down by a random
     multiple of I: NCP, and for larger shifts not positive either."""
@@ -369,20 +338,32 @@ def random_shifted_choi_map(d: int, rng) -> Superoperator:
 
 
 class TestSearch:
-    """`minimize_output_min_eig`: the see-saw from dim_in = 3 on, the old
-    descent (`ref_minimize_output_min_eig`) below that."""
+    """`minimize_output_min_eig` against the old grid-and-descent search
+    (`ref_minimize_output_min_eig`): the see-saw from dim_in = 3 on, Newton
+    Bloch chains for qubit inputs."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("budget", [50, 300])
-    def test_qubit_inputs_keep_the_descent_bit_for_bit(self, seed, budget):
+    def test_qubit_inputs_do_no_worse_than_the_descent(self, seed, budget):
         rng = np.random.default_rng(40 + seed)
         maps = [flip_superoperator(), scaled_z_map(1.2), random_shifted_choi_map(2, rng),
                 opendyn.correlated_assignment(0.5)]
+        maps += [random_shifted_choi_map(2, rng) for _ in range(12)]
+        certified = 0
         for t in maps:
-            got = channels.minimize_output_min_eig(t, budget=budget, seed=seed)
-            want = ref_minimize_output_min_eig(t.apply_batch, 2, budget=budget, seed=seed)
-            assert got[0] == want[0] and got[2] == want[2]
-            assert np.array_equal(got[1], want[1])
+            val, vec_, samples = channels.minimize_output_min_eig(t, budget=budget, seed=seed)
+            ref_val, ref_vec, ref_samples = ref_minimize_output_min_eig(
+                t.apply_batch, 2, budget=budget, seed=seed)
+            assert val <= ref_val + 1e-12
+            ref = channels.certify_violation(t.apply, ref_val, ref_vec, ref_samples)
+            if ref.is_positive == "certified-violation":
+                certified += 1
+                rep = channels.certify_violation(t.apply, val, vec_, samples)
+                assert rep.is_positive == "certified-violation"
+            # the value is that of the state returned
+            image = t.apply(states.projector(vec_))
+            assert abs(matcore.min_eig(image) - val) <= 1e-12
+        assert certified > 0
 
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("n", [1, 2])

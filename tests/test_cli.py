@@ -147,6 +147,33 @@ class TestCheckCertificate:
         assert abs(rep["thresholds"]["witness"] - 1e-6) <= 1e-20
 
 
+class TestBudget:
+    def test_negative_budget_rejected_by_the_api(self):
+        t = channels.flip_superoperator()
+        with pytest.raises(ValueError, match=r"budget must be >= 0, got -3"):
+            channels.is_n_positive(t, 1, budget=-3)
+        with pytest.raises(ValueError, match=r"budget must be >= 0, got -3"):
+            channels.minimize_output_min_eig(t, budget=-3)
+        # also where the verdict would be decided from the Choi spectrum
+        with pytest.raises(ValueError, match=r"budget must be >= 0, got -3"):
+            channels.is_positive_map(channels.identity_superoperator(2), budget=-3)
+
+    def test_negative_budget_exits_1_naming_the_budget(self, tmp_path, capsys):
+        i4 = channels.vec(np.eye(4))  # T_a at d = 4, a = 3
+        t4 = channels.Superoperator(dim_in=4, dim_out=4,
+                                    transfer=np.outer(i4, i4) - 3 * np.eye(16))
+        f = write_json(tmp_path, "t4.json", channels.superoperator_to_json(t4))
+        assert main(["check", f, "--budget", "-3"]) == 1
+        assert "budget must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_zero_budget_still_scores_the_pauli_eigenstates(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "check", flip_file(tmp_path), "--budget", "0"]) == 2
+        assert "positivity search: no-violation-found" in capsys.readouterr().out
+        rep = json.loads(out.read_text())
+        assert rep["positivity"] == "no-violation-found" and rep["samples_used"] >= 6
+
+
 class TestInputErrors:
     def test_missing_file(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 1

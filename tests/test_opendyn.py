@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from descent_reference import ref_minimize_output_min_eig
 from qdynmaps import channels, compatdomain, matcore, opendyn, states
 from qdynmaps.channels import Superoperator, unvec, vec
 from qdynmaps.matcore import kron, partial_trace, trace_norm
@@ -384,7 +385,6 @@ class TestPechukasWitness:
         def no_search(*args, **kwargs):
             raise AssertionError("a product map ran a search")
 
-        monkeypatch.setattr(opendyn, "_qubit_pechukas_search", no_search)
         monkeypatch.setattr(opendyn, "minimize_output_min_eig", no_search)
         rng = np.random.default_rng(9)
         for d_s, d_r in ((2, 2), (2, 3), (3, 2)):
@@ -396,6 +396,19 @@ class TestPechukasWitness:
         witness, value = pechukas_witness(ProductAssignment(rho_r=bad, d_s=2))
         assert value == -0.25
         assert matcore.min_eig(assign(ProductAssignment(rho_r=bad, d_s=2), witness)) == -0.25
+
+    def test_nonproduct_qubit_search_runs_through_channels(self, monkeypatch):
+        assert opendyn.minimize_output_min_eig is channels.minimize_output_min_eig
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return channels.minimize_output_min_eig(*args, **kwargs)
+
+        monkeypatch.setattr(opendyn, "minimize_output_min_eig", spy)
+        witness, value = pechukas_witness(correlated_assignment(0.5), budget=2000, seed=3)
+        assert witness is not None and abs(value + 0.125) <= 1e-12
+        assert len(calls) == 1 and calls[0][1] == opendyn.PECHUKAS_GRID
 
     @pytest.mark.parametrize("c, verdict, witnessed", [
         (1e-12, "product", False),  # deviation 2.5e-13 <= tol
@@ -430,7 +443,7 @@ class TestPechukasWitness:
             rep = pechukas_report(phi)
             assert rep.verdict == ("product" if scale == 0.0 else "non-product")
             witness, value = pechukas_witness(phi, seed=i)
-            old_val, old_vec, samples = channels.minimize_output_min_eig(phi, seed=i)
+            old_val, old_vec, samples = ref_minimize_output_min_eig(phi.apply_batch, 2, seed=i)
             old = channels.certify_violation(phi, old_val, old_vec, samples)
             if old.is_positive == "certified-violation":
                 assert rep.verdict == "non-product" and witness is not None
