@@ -23,12 +23,12 @@ Positivity is 1-positivity, so :func:`is_positive_map` is
   dim_in >= 2) gets a pure-state search, whose "no-violation-found" is not
   a proof. :func:`minimize_output_min_eig`, the one pure-state search (the
   Pechukas witness of ``opendyn`` runs it too), scores a grid of pure states,
-  then polishes its best points by see-saw chains: for a searched input
-  dim_in * n of at least 3, batched through the adjoint map and also started
-  from the Choi seeds of :func:`_choi_seeds` (default grid ``SEEDED_GRID``);
-  for qubit inputs, on the Bloch sphere with Newton steps, after the six
-  Pauli eigenstates, which are always scored (default grid 2000; ``seed`` is
-  unused). An explicit ``budget`` is the grid size.
+  then polishes its best points by see-saw chains that also take Newton
+  steps: for a searched input dim_in * n of at least 3, on the unit sphere
+  of C^dim_in, and also started from the Choi seeds of :func:`_choi_seeds`
+  (default grid ``SEEDED_GRID``); for qubit inputs, on the Bloch sphere,
+  after the six Pauli eigenstates, which are always scored (default grid
+  2000; ``seed`` is unused). An explicit ``budget`` is the grid size.
 """
 
 from __future__ import annotations
@@ -325,17 +325,22 @@ def minimize_output_min_eig(
     - for qubit inputs, by :func:`_bloch_search`, which always scores the six
       Pauli eigenstates before the candidates and a Fibonacci lattice, and
       ignores ``seed`` and ``starts``;
-    - for dim_in >= 3, on seeded uniform random pure states, by a see-saw
+    - for dim_in >= 3, on seeded uniform random pure states, by
+      :func:`_seesaw` from the unit rows of ``starts``, each counted as a
+      sample, and the ``SEESAW_STARTS`` best grid points: a see-saw
       (alternating minimisation; Ling, Nie, Qi & Ye, SIAM J. Optim. 20,
-      2009) from the unit rows of ``starts``, each counted as a sample, and
-      the ``SEESAW_STARTS`` best grid points. <phi|t(psi psi^dag)|phi> is
-      biquadratic: phi becomes the bottom eigenvector of t(psi psi^dag), then
-      psi that of adj(t)(phi phi^dag), which never raises a chain's value.
+      2009) whose chains also take Newton steps. <phi|t(psi psi^dag)|phi>
+      is biquadratic: phi becomes the bottom eigenvector of t(psi psi^dag),
+      then psi that of adj(t)(phi phi^dag), which never raises a chain's
+      value. From the second step on, a chain keeps the lower of that move
+      and a Newton step on the unit sphere.
 
     Chains stop after ``SEESAW_STEPS`` steps, or once a step lowers the best
     value by at most 1e-12 * max(1, |best|). Returns (best lmin, best input
     state vector, samples used); best lmin is the minimum eigenvalue of that
-    vector's image. Raises ValueError for a negative ``budget``.
+    vector's image. Raises ValueError for a negative ``budget``, and for
+    dim_in >= 3 with nothing to polish: ``budget=0`` without ``starts`` or
+    ``extra_candidates``.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -358,6 +363,9 @@ def minimize_output_min_eig(
     if starts is not None:
         psi = np.concatenate([starts, psi], axis=0)
         samples += len(starts)
+    if len(psi) == 0:
+        raise ValueError("budget must be >= 1 for dim_in >= 3 without starts or extra "
+                         f"candidates, got {budget}")
     return _seesaw(t, psi, samples)
 
 
@@ -435,21 +443,83 @@ def _bloch_search(t: Superoperator, rs: np.ndarray) -> tuple[float, np.ndarray, 
 
 
 def _seesaw(t: Superoperator, psi: np.ndarray, samples: int) -> tuple[float, np.ndarray, int]:
-    """See-saw chains from the (K, dim_in) start vectors psi, all K advanced
-    by one batched eigensolver call per half-step; see
-    :func:`minimize_output_min_eig`. Each new psi counts as a sample."""
+    """Chains from the (K, dim_in) start vectors psi, all K advanced by
+    batched eigensolver calls; see :func:`minimize_output_min_eig`. Each new
+    candidate counts as a sample.
+
+    With T_h the Hermitian part of t, the image of psi has the bottom
+    eigenpair (lambda_0, phi) and B = adj(T_h)(phi phi^dag), so that
+    lambda_0 = <psi|B|psi>. The first step is the plain see-saw: psi becomes
+    the bottom eigenvector of B. From the second step on, every chain is
+    offered two moves and keeps the lower image eigenvalue:
+
+    - the see-saw move;
+    - a Newton step on the unit sphere, modulo phase, in the real
+      coordinates (Re delta, Im delta): lambda_0 has the gradient
+      2 Re(psi^dag B delta) and, by second-order perturbation theory, the
+      Hessian 2 (B - lambda_0) - 2 sum_m |<phi_m|T_h(delta psi^dag + psi
+      delta^dag)|phi>|^2 / (lambda_m - lambda_0), projected on the tangent
+      space orthogonal to psi and i psi. The see-saw alone converges
+      linearly and runs to its step cap on positive maps; with Newton,
+      chains settle in a few steps. Where lambda_0 is degenerate the move
+      is not finite and is not offered.
+
+    B and the matrix elements <phi_m|T_h(E_ij)|phi> come from one
+    contraction of ``action`` with each chain's eigenvectors.
+    """
+    d_in, d_out = t.dim_in, t.dim_out
     adj = adjoint_map(t)
-    lmin, phi = matcore.min_eigpair_batch(t.apply_batch(_pure_batch_from_vectors(psi)))
-    best = int(np.argmin(lmin))
-    best_val, best_vec = float(lmin[best]), psi[best]
-    for _ in range(SEESAW_STEPS):
-        _, psi = matcore.min_eigpair_batch(adj.apply_batch(_pure_batch_from_vectors(phi)))
-        lmin, phi = matcore.min_eigpair_batch(t.apply_batch(_pure_batch_from_vectors(psi)))
-        samples += len(psi)
-        k = int(np.argmin(lmin))
-        gain = best_val - float(lmin[k])
+    w, v = matcore.eigh_batch(t.apply_batch(_pure_batch_from_vectors(psi)))
+    best = int(np.argmin(w[:, 0]))
+    best_val, best_vec = float(w[best, 0]), psi[best]
+    for step in range(SEESAW_STEPS):
+        if step == 0:
+            phi = _pure_batch_from_vectors(v[:, :, 0])
+            _, cand = matcore.min_eigpair_batch(adj.apply_batch(phi))
+        else:
+            if step == 1:  # built here, as searches that settle at once need none of it
+                # [(i, j, p), q] = T_h(E_ij)[p, q] = (T(E_ij)[p, q] + conj(T(E_ji)[q, p]))/2
+                x = t.action.reshape(d_in, d_in, d_out, d_out)
+                herm = ((x + x.transpose(1, 0, 3, 2).conj()) / 2.0).reshape(-1, d_out)
+                eye = np.eye(2 * d_in)
+            # g[k, i, j, m] = <phi_m|T_h(E_ij)|phi>; B[k, j, i] = g[k, i, j, 0]
+            g = ((herm @ v[:, :, 0].T).T.reshape(-1, d_in * d_in, d_out) @ v.conj()
+                 ).reshape(-1, d_in, d_in, d_out)
+            b = g[..., 0].transpose(0, 2, 1)
+            _, seesaw = matcore.min_eigpair_batch(b)
+            # <phi_m|T_h(delta psi^dag + psi delta^dag)|phi> = u_m.delta + w_m.conj(delta)
+            u = np.einsum("kijm,kj->kmi", g, psi.conj())
+            wv = np.einsum("kijm,ki->kmj", g, psi)
+            r = np.concatenate([u + wv, 1j * (u - wv)], axis=2)  # the same, in (Re, Im)
+            grad = r[:, 0].real
+            bs = b - w[:, :1, None] * np.eye(d_in)
+            top = np.concatenate([bs, 1j * bs], axis=2)  # Re [[M, iM], [-iM, M]] is M in (Re, Im)
+            with np.errstate(all="ignore"):  # non-finite moves are dropped below
+                s = r[:, 1:] / np.sqrt(w[:, 1:, None] - w[:, :1, None])
+                hess = 2.0 * (np.concatenate([top, -1j * top], axis=1)
+                              - s.conj().transpose(0, 2, 1) @ s).real
+                e = np.stack([np.concatenate([psi.real, psi.imag], axis=1),
+                              np.concatenate([-psi.imag, psi.real], axis=1)], axis=1)
+                proj = eye - e.transpose(0, 2, 1) @ e
+                try:
+                    delta = np.linalg.solve(proj @ hess @ proj + eye - proj,
+                                            -(proj @ grad[:, :, None]))[..., 0]
+                except np.linalg.LinAlgError:
+                    delta = np.full((len(psi), 2 * d_in), np.nan)
+                newton = psi + delta[:, :d_in] + 1j * delta[:, d_in:]
+                newton /= np.linalg.norm(newton, axis=1, keepdims=True)
+            newton = np.where(np.isfinite(newton).all(axis=1, keepdims=True), newton, seesaw)
+            cand = np.concatenate([seesaw, newton])
+        cw, cv = matcore.eigh_batch(t.apply_batch(_pure_batch_from_vectors(cand)))
+        samples += len(cand)
+        if step:  # the lower of the two moves
+            pick = np.arange(len(psi)) + len(psi) * (cw[len(psi):, 0] < cw[: len(psi), 0])
+            cand, cw, cv = cand[pick], cw[pick], cv[pick]
+        psi, w, v = cand, cw, cv
+        k = int(np.argmin(w[:, 0]))
+        gain = best_val - float(w[k, 0])
         if gain > 0:
-            best_val, best_vec = float(lmin[k]), psi[k]
+            best_val, best_vec = float(w[k, 0]), psi[k]
         if gain <= 1e-12 * max(1.0, abs(best_val)):
             break
     return best_val, best_vec, samples

@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, states
-from .channels import Superoperator, _readonly, certify_violation, minimize_output_min_eig
-from .channels import unvec, vec
+from .channels import Superoperator, _choi_seeds, _readonly, certify_violation
+from .channels import minimize_output_min_eig, unvec, vec
 from .config import consistency_threshold, product_threshold, tolerance
 from .matcore import dag, kron, partial_trace, trace_norm
 
@@ -504,7 +504,9 @@ def pechukas_witness(
     - A non-product map runs ``channels.minimize_output_min_eig``: for a
       qubit system on the six Pauli eigenstates and ``PECHUKAS_GRID``
       Fibonacci points, polished by Newton Bloch chains (``budget`` and
-      ``seed`` are unused); for d_s >= 3 with ``budget`` and ``seed``.
+      ``seed`` are unused); for d_s >= 3 with ``budget`` and ``seed``, and
+      started also from the Choi seeds of Phi (``channels._choi_seeds``
+      with n = 1), so that ``budget=0`` still searches.
 
     The witness is returned only when the value clears
     ``channels.certify_violation``'s margin; a non-product map whose value
@@ -520,8 +522,11 @@ def pechukas_witness(
     if rep.verdict == "product":
         value, vec0 = min(0.0, matcore.min_eig(rep.reservoir)), np.eye(phi.d_s)[0]
         return certify_violation(phi, value, vec0, 0).witness, value
-    best_val, best_vec, samples = minimize_output_min_eig(
-        phi, PECHUKAS_GRID if phi.d_s == 2 else budget, seed)
+    if phi.d_s == 2:
+        best_val, best_vec, samples = minimize_output_min_eig(phi, PECHUKAS_GRID, seed)
+    else:
+        best_val, best_vec, samples = minimize_output_min_eig(
+            phi, budget, seed, starts=_choi_seeds(phi, 1))
     return certify_violation(phi, best_val, best_vec, samples).witness, best_val
 
 

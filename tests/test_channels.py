@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import make_verdict_corpus
-from descent_reference import ref_minimize_output_min_eig
+from descent_reference import ref_minimize_output_min_eig, ref_seesaw
 from qdynmaps import channels, config, matcore, opendyn, states
 from qdynmaps.channels import (
     KrausSet,
@@ -459,6 +459,72 @@ class TestChoiSeeds:
                 assert rep.is_positive == "certified-violation"
                 assert rep.witness_min_eigenvalue <= ref.witness_min_eigenvalue + 1e-5
         assert certified > 0
+
+
+def _audited_searches(monkeypatch, t, n, seesaw=None):
+    """is_n_positive(t, n) and the (map, (value, vector, samples)) of the
+    search it ran, polished by ``seesaw`` in place of ``channels._seesaw``."""
+    searches = []
+    search = channels.minimize_output_min_eig
+
+    def spy(comp, *args, **kwargs):
+        searches.append((comp, search(comp, *args, **kwargs)))
+        return searches[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(channels, "minimize_output_min_eig", spy)
+        if seesaw is not None:
+            m.setattr(channels, "_seesaw", seesaw)
+        rep = is_n_positive(t, n)
+    assert len(searches) == (rep.certificate is None)
+    return rep, searches[0] if searches else None
+
+
+class TestNewtonSeesaw:
+    """The d >= 3 polish against the plain see-saw it replaced (`ref_seesaw`)."""
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_no_verdict_flips_against_the_plain_seesaw(self, monkeypatch, d, n):
+        rng = np.random.default_rng(2000 * d + n)
+        certified = 0
+        for _ in range(20):
+            t = random_shifted_choi_map(d, rng)
+            rep, search = _audited_searches(monkeypatch, t, n)
+            ref, _ = _audited_searches(monkeypatch, t, n, ref_seesaw)
+            assert rep.is_positive == ref.is_positive
+            if search is None:  # a CP map, decided from the Choi spectrum
+                continue
+            if ref.is_positive == "certified-violation":
+                certified += 1
+            comp, (val, vec_, _) = search
+            # the value is that of the state returned
+            image = comp.apply(states.projector(vec_))
+            assert abs(matcore.min_eig(image) - val) <= 1e-12
+        assert certified > 0
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["transpose", "t_a"])
+    def test_settled_seeds_match_the_plain_seesaw_bit_for_bit(self, monkeypatch, d, n, kind):
+        t = transpose_superoperator(d) if kind == "transpose" else make_verdict_corpus._t_a(d, 2.0)
+        _, (_, (val, vec_, samples)) = _audited_searches(monkeypatch, t, n)
+        _, (_, (ref_val, ref_vec, ref_samples)) = _audited_searches(monkeypatch, t, n, ref_seesaw)
+        assert val == ref_val and samples == ref_samples
+        assert np.array_equal(vec_, ref_vec)
+
+    @pytest.mark.parametrize("seed", [3, 0])  # seed 0: the map CI checks
+    def test_newton_settles_positive_maps_sooner(self, monkeypatch, seed):
+        # 0.6 transpose + 0.4 CPTP at d = 3: NCP, and positive
+        t = _transpose_mixture(3, 0.6, seed=seed)
+        assert is_cp(t).is_cp is False
+        rep, _ = _audited_searches(monkeypatch, t, 1)
+        ref, _ = _audited_searches(monkeypatch, t, 1, ref_seesaw)
+        assert rep.is_positive == ref.is_positive == "no-violation-found"
+        assert rep.samples_used < ref.samples_used
+
+    def test_empty_search_names_the_budget(self):
+        with pytest.raises(ValueError, match="budget"):
+            channels.minimize_output_min_eig(transpose_superoperator(3), budget=0)
 
 
 class TestAdjoint:

@@ -427,10 +427,22 @@ class TestPechukasWitness:
         rng = np.random.default_rng(10)
         phi = random_consistent_map(rng, 3, 2, "constant", 0.2)
         assert pechukas_report(phi).verdict == "non-product"
-        value, vec, samples = channels.minimize_output_min_eig(phi, budget=500, seed=4)
+        value, vec, samples = channels.minimize_output_min_eig(
+            phi, budget=500, seed=4, starts=channels._choi_seeds(phi, 1))
         witness, got = pechukas_witness(phi, budget=500, seed=4)
         assert got == value and witness is not None
         assert np.array_equal(witness, states.projector(vec))
+
+    @pytest.mark.parametrize("d_r", [2, 3])
+    @pytest.mark.parametrize("kind", ["constant", "linear"])
+    def test_qutrit_search_is_seeded_from_the_choi_spectrum(self, d_r, kind):
+        # budget=0 has no grid: the Choi seeds alone start the search
+        phi = random_consistent_map(np.random.default_rng(20 + d_r), 3, d_r, kind, 0.2)
+        assert pechukas_report(phi).verdict == "non-product"
+        witness, value = pechukas_witness(phi, budget=0)
+        assert witness is not None
+        assert abs(matcore.min_eig(assign(phi, witness)) - value) <= 1e-12
+        assert value <= pechukas_witness(phi, budget=2000)[1] + 1e-9
 
     @pytest.mark.parametrize("d_r", [2, 3])
     @pytest.mark.parametrize("kind", ["constant", "linear"])
