@@ -10,8 +10,8 @@ the extensions T (x) I_n and the assignment maps of ``opendyn`` are all
 applied by its ``apply_batch``, one matrix product with the row-major
 ``action`` matrix derived from the transfer matrix.
 
-Positivity audits are decided from the Choi spectrum where it settles them,
-and searched otherwise (``PositivityReport.certificate`` says which).
+Positivity audits are decided where the map's matrices settle them, and
+searched otherwise (``PositivityReport.certificate`` says which).
 Positivity is 1-positivity, so :func:`is_positive_map` is
 :func:`is_n_positive` with n = 1:
 
@@ -19,16 +19,18 @@ Positivity is 1-positivity, so :func:`is_positive_map` is
 - for n >= dim_in, n-positivity is complete positivity (Choi 1975), so an
   NCP map is a "certified-violation", with a witness built from the bottom
   Choi eigenvector;
-- an NCP map with n < dim_in (for positivity: every NCP map with
-  dim_in >= 2) gets a pure-state search, whose "no-violation-found" is not
-  a proof. :func:`minimize_output_min_eig`, the one pure-state search (the
-  Pechukas witness of ``opendyn`` runs it too), scores a grid of pure states,
-  then polishes its best points by see-saw chains that also take Newton
-  steps: for a searched input dim_in * n of at least 3, on the unit sphere
-  of C^dim_in, and also started from the Choi seeds of :func:`_choi_seeds`
-  (default grid ``SEEDED_GRID``); for qubit inputs, on the Bloch sphere,
-  after the six Pauli eigenstates, which are always scored (default grid
-  2000; ``seed`` is unused). An explicit ``budget`` is the grid size.
+- a positive Hermiticity-preserving M2 -> M2 map is "no-violation-found"
+  by the S-lemma (:func:`_s_lemma`);
+- every other NCP map with n < dim_in gets a pure-state search, whose
+  "no-violation-found" is not a proof. :func:`minimize_output_min_eig`, the
+  one pure-state search (the Pechukas witness of ``opendyn`` runs it too),
+  scores a grid of pure states, then polishes its best points by see-saw
+  chains on the unit sphere of C^dim_in that also take Newton steps. For a
+  searched input dim_in * n of at least 3 the chains also start from the
+  Choi seeds of :func:`_choi_seeds` (default grid ``SEEDED_GRID``); for
+  qubit inputs the grid is a Fibonacci lattice after the six Pauli
+  eigenstates, which are always scored (default grid 2000; ``seed`` is
+  unused). An explicit ``budget`` is the grid size.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ class Superoperator:
     """Linear map on matrix space, held as a transfer matrix on vectorized
     matrices. Shape is dim_out^2 x dim_in^2.
 
-    ``transfer`` is stored as a read-only complex copy. ``action`` is the
-    same map on row-major flattened matrices, row (i, j) and column (p, q)
-    holding T(E_ij)[p, q], so that a batch of inputs is applied by one
-    matrix product.
+    ``transfer`` is stored as a read-only complex copy; a NaN or infinite
+    entry raises ValueError. ``action`` is the same map on row-major
+    flattened matrices, row (i, j) and column (p, q) holding T(E_ij)[p, q],
+    so that a batch of inputs is applied by one matrix product.
     """
 
     dim_in: int
@@ -102,7 +104,7 @@ class Superoperator:
     transfer: np.ndarray
 
     def __post_init__(self):
-        transfer = _readonly(self.transfer)
+        transfer = _readonly(matcore.require_finite(self.transfer))
         expected = (self.dim_out**2, self.dim_in**2)
         if transfer.shape != expected:
             raise ValueError(
@@ -201,8 +203,10 @@ class PositivityReport:
     ``witness`` is a state whose image has a negative eigenvalue when a
     violation is certified. ``certificate`` is "choi" when the verdict was
     decided from the Choi spectrum (``min_choi_eigenvalue`` decided it and
-    ``samples_used`` is 0) and None when a search ran, whose
-    "no-violation-found" is not a proof of positivity.
+    ``samples_used`` is 0), "s-lemma" when :func:`_s_lemma` proved a qubit
+    map positive (``certificate_margin`` decided it at the multiplier
+    ``certificate_mu``, and ``samples_used`` is 0), and None when a search
+    ran, whose "no-violation-found" is not a proof of positivity.
     """
 
     min_choi_eigenvalue: float | None = None
@@ -212,6 +216,8 @@ class PositivityReport:
     witness_min_eigenvalue: float | None = None
     samples_used: int = 0
     certificate: str | None = None
+    certificate_margin: float | None = None
+    certificate_mu: float | None = None
 
 
 def transfer_from_kraus(k: KrausSet | list | tuple) -> Superoperator:
@@ -319,21 +325,18 @@ def minimize_output_min_eig(
 ) -> tuple[float, np.ndarray, int]:
     """Minimize lmin(t(|psi><psi|)) over pure states psi.
 
-    A grid of ``budget`` states, after the unit rows of ``extra_candidates``,
-    is scored first, and its best points are polished:
-
-    - for qubit inputs, by :func:`_bloch_search`, which always scores the six
-      Pauli eigenstates before the candidates and a Fibonacci lattice, and
-      ignores ``seed`` and ``starts``;
-    - for dim_in >= 3, on seeded uniform random pure states, by
-      :func:`_seesaw` from the unit rows of ``starts``, each counted as a
-      sample, and the ``SEESAW_STARTS`` best grid points: a see-saw
-      (alternating minimisation; Ling, Nie, Qi & Ye, SIAM J. Optim. 20,
-      2009) whose chains also take Newton steps. <phi|t(psi psi^dag)|phi>
-      is biquadratic: phi becomes the bottom eigenvector of t(psi psi^dag),
-      then psi that of adj(t)(phi phi^dag), which never raises a chain's
-      value. From the second step on, a chain keeps the lower of that move
-      and a Newton step on the unit sphere.
+    A grid is scored first: for qubit inputs the six Pauli eigenstates, the
+    unit rows of ``extra_candidates`` and a Fibonacci lattice of ``budget``
+    points (``seed`` is unused); for dim_in >= 3 the candidates and
+    ``budget`` seeded uniform random pure states. :func:`_seesaw` then
+    polishes the ``SEESAW_STARTS`` best grid points, after the unit rows of
+    ``starts``, each counted as a sample: a see-saw (alternating
+    minimisation; Ling, Nie, Qi & Ye, SIAM J. Optim. 20, 2009) whose chains
+    also take Newton steps. <phi|t(psi psi^dag)|phi> is biquadratic: phi
+    becomes the bottom eigenvector of t(psi psi^dag), then psi that of
+    adj(t)(phi phi^dag), which never raises a chain's value. From the second
+    step on, a chain keeps the lower of that move and a Newton step on the
+    unit sphere.
 
     Chains stop after ``SEESAW_STEPS`` steps, or once a step lowers the best
     value by at most 1e-12 * max(1, |best|). Returns (best lmin, best input
@@ -347,16 +350,15 @@ def minimize_output_min_eig(
     dim = t.dim_in
     if dim == 2:
         axes = np.eye(3)
-        rs = [axes, -axes, fibonacci_bloch(budget)]
-        if extra_candidates is not None:  # r_k = tr(psi psi^dag sigma_k)
-            rs.insert(2, np.einsum("nij,kji->nk", _pure_batch_from_vectors(extra_candidates),
-                                   np.stack(states.PAULIS)).real)
-        return _bloch_search(t, np.concatenate(rs))
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((budget, dim)) + 1j * rng.standard_normal((budget, dim))
-    vs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    if extra_candidates is not None:
-        vs = np.concatenate([extra_candidates, vs], axis=0)
+        vs = [_bloch_to_vectors(np.concatenate([axes, -axes])),
+              _bloch_to_vectors(fibonacci_bloch(budget))]
+    else:
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((budget, dim)) + 1j * rng.standard_normal((budget, dim))
+        vs = [g / np.linalg.norm(g, axis=1, keepdims=True)]
+    if extra_candidates is not None:  # before the grid, after the Pauli eigenstates
+        vs.insert(len(vs) - 1, extra_candidates)
+    vs = np.concatenate(vs, axis=0)
     samples = vs.shape[0]
     vals = matcore.min_eig_batch(t.apply_batch(_pure_batch_from_vectors(vs)))
     psi = vs[np.argsort(vals)[:SEESAW_STARTS]]
@@ -367,79 +369,6 @@ def minimize_output_min_eig(
         raise ValueError("budget must be >= 1 for dim_in >= 3 without starts or extra "
                          f"candidates, got {budget}")
     return _seesaw(t, psi, samples)
-
-
-def _bloch_search(t: Superoperator, rs: np.ndarray) -> tuple[float, np.ndarray, int]:
-    """Minimise lmin(t(psi psi^dag)) over pure qubit inputs psi, starting
-    from the (N, 3) unit Bloch vectors rs.
-
-    With A = t(I/2) and B_i = t(sigma_i/2), the state of unit Bloch vector r
-    has the image A + r.B, with bottom eigenpair (lambda_0, phi). All of rs
-    are scored, and the ``SEESAW_STARTS`` best start chains. Each step offers
-    every chain two moves and keeps the lower image eigenvalue, so no step
-    raises a chain's value:
-
-    - the see-saw: r = -b/|b| with b_i = <phi|B_i|phi> minimises
-      <phi|A + r.B|phi> on the sphere;
-    - a Newton step on the sphere: lambda_0 has the gradient b and, by
-      second-order perturbation theory, the Hessian
-      H_ij = 2 Re sum_m <phi|B_i|phi_m><phi_m|B_j|phi> / (lambda_0 - lambda_m);
-      on the sphere, H - (r.b) I projected on the tangent plane. The
-      see-saw alone converges linearly and crawls where the minimum is
-      flat; with Newton, chains settle in a few steps. Where lambda_0 is
-      degenerate or b vanishes, the move is not finite and is not offered.
-
-    Stops as :func:`minimize_output_min_eig` says. Returns (best lmin, its
-    input state vector, Bloch vectors scored).
-    """
-    paulis = np.stack([states.I2, *states.PAULIS]) / 2.0
-    images = t.apply_batch(paulis)
-    n = images.shape[1]
-    a, b = images[0], images[1:]
-    b_rows = b.transpose(1, 0, 2).reshape(n, 3 * n)  # [p, (i, q)] = B_i[p, q]
-
-    def image(rs):
-        return a + (rs @ b.reshape(3, n * n)).reshape(-1, n, n)
-
-    axes = np.eye(3)
-    vals = matcore.min_eig_batch(image(rs))
-    samples = len(rs)
-    rs = rs[np.argsort(vals, kind="stable")[:SEESAW_STARTS]]
-    w, v = matcore.eigh_batch(image(rs))
-    k = int(np.argmin(w[:, 0]))
-    best_val, best_r = float(w[k, 0]), rs[k]
-    for _ in range(SEESAW_STEPS):
-        # bm[k, i, m] = <phi|B_i|phi_m> for chain k
-        bm = (v[:, :, 0].conj() @ b_rows).reshape(-1, 3, n) @ v
-        grad = bm[:, :, 0].real
-        with np.errstate(all="ignore"):  # non-finite moves are dropped below
-            seesaw = -grad / np.linalg.norm(grad, axis=1, keepdims=True)
-            s = bm[:, :, 1:] / np.sqrt(w[:, None, 1:] - w[:, None, :1])
-            proj = axes - rs[:, :, None] * rs[:, None, :]
-            hess = (-2.0 * (s @ s.conj().transpose(0, 2, 1)).real
-                    - np.einsum("ki,ki->k", rs, grad)[:, None, None] * axes)
-            try:
-                step = np.linalg.solve(proj @ hess @ proj + axes - proj,
-                                       -(proj @ grad[:, :, None]))[..., 0]
-            except np.linalg.LinAlgError:
-                step = np.full_like(rs, np.nan)
-            newton = rs + step
-            newton /= np.linalg.norm(newton, axis=1, keepdims=True)
-        seesaw = np.where(np.isfinite(seesaw).all(axis=1, keepdims=True), seesaw, rs)
-        newton = np.where(np.isfinite(newton).all(axis=1, keepdims=True), newton, seesaw)
-        cand = np.concatenate([seesaw, newton])
-        cw, cv = matcore.eigh_batch(image(cand))
-        samples += len(cand)
-        chains = np.arange(len(rs))
-        pick = chains + len(rs) * (cw[len(rs):, 0] < cw[: len(rs), 0])
-        rs, w, v = cand[pick], cw[pick], cv[pick]
-        k = int(np.argmin(w[:, 0]))
-        gain = best_val - float(w[k, 0])
-        if gain > 0:
-            best_val, best_r = float(w[k, 0]), rs[k]
-        if gain <= 1e-12 * max(1.0, abs(best_val)):
-            break
-    return best_val, _bloch_to_vectors(best_r[None])[0], samples
 
 
 def _seesaw(t: Superoperator, psi: np.ndarray, samples: int) -> tuple[float, np.ndarray, int]:
@@ -600,6 +529,45 @@ def _choi_seeds(t: Superoperator, n: int, k: int = SEESAW_STARTS) -> np.ndarray:
     return np.stack([p.reshape(-1) / np.linalg.norm(p) for p in psi])
 
 
+def _s_lemma(t: Superoperator) -> tuple[float, float] | None:
+    """(mu, margin) proving a Hermiticity-preserving M2 -> M2 map t positive
+    within tolerance, or None where no such proof exists.
+
+    "Within tolerance" is exact positivity of T_tau = t + tau tr(.) I, with
+    tau = -psd_threshold(|transfer|_inf), the threshold :func:`is_cp`
+    applies to the Choi matrix (a realignment of the same entries): every
+    image then has lmin >= -tau. (Judging lmin(M - mu eta) below against
+    -tau instead would pass violations up to about sqrt(tau), as the form is
+    quadratic in t.) The state of Stokes vector x = (1, r) has the image
+    sum_a (Lx)_a sigma_a / 2, with L_ab = tr(sigma_a T_tau(sigma_b)) / 2, so
+    T_tau is positive iff L maps the forward light cone into itself (Gorini
+    & Sudarshan, CMP 46, 1976). That holds iff row 0 of L lies in the cone
+    (no image has a negative trace) and x^T eta x >= 0 implies x^T M x >= 0,
+    with eta = diag(1, -1, -1, -1) and M = L^T eta L; by the S-lemma (Polik
+    & Terlaky, SIAM Rev. 49, 2007) the latter holds iff M - mu eta is PSD
+    for some mu >= 0. These mu form an interval whose ends are real
+    eigenvalues of eta M, and lmin(M - mu eta) is concave in mu, so it is
+    tried at mu = 0, at each real non-negative eigenvalue and at the
+    midpoints between them; margin is the largest lmin found, which must be
+    >= 0.
+    """
+    tau = -psd_threshold(float(np.abs(t.transfer).max()))
+    paulis = np.stack([states.I2, *states.PAULIS])
+    l = np.einsum("aij,bji->ab", paulis, t.apply_batch(paulis)).real / 2.0
+    l[0, 0] += 2.0 * tau
+    if l[0, 0] < np.linalg.norm(l[0, 1:]):
+        return None
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    m = l.T @ eta @ l
+    roots = np.linalg.eigvals(matcore.require_finite(eta @ m))
+    real = np.abs(roots.imag) <= tolerance() * np.maximum(1.0, np.abs(roots))
+    ends = np.unique(roots.real[real & (roots.real >= 0)])
+    mus = np.concatenate([[0.0], ends, (ends[1:] + ends[:-1]) / 2.0])
+    margins = matcore.min_eig_batch(m - mus[:, None, None] * eta)
+    k = int(np.argmax(margins))
+    return (float(mus[k]), float(margins[k])) if margins[k] >= 0 else None
+
+
 def is_n_positive(t: Superoperator, n: int, budget: int | None = None,
                   seed: int = 0) -> PositivityReport:
     """n-positivity verdict for t, through T (x) I_n.
@@ -609,11 +577,14 @@ def is_n_positive(t: Superoperator, n: int, budget: int | None = None,
     where n-positivity is complete positivity: an NCP t is then a
     "certified-violation" whose witness is the first of :func:`_choi_seeds`
     and whose value is the minimum eigenvalue of the witness's image.
-    Otherwise a falsification search runs, with the maximally entangled
-    state among its candidates when n > 1. When dim_in * n >= 3 the search
-    also starts from the Choi seeds, and ``budget=None`` takes a grid of
-    ``SEEDED_GRID`` states; for a qubit input it takes 2000. A negative
-    ``budget`` raises ValueError, even where the verdict is decided.
+    Positivity (n = 1) of a Hermiticity-preserving M2 -> M2 map is decided
+    by :func:`_s_lemma` when it proves the map positive
+    (``certificate="s-lemma"``, no samples). Otherwise a falsification
+    search runs, with the maximally entangled state among its candidates
+    when n > 1. When dim_in * n >= 3 the search also starts from the Choi
+    seeds, and ``budget=None`` takes a grid of ``SEEDED_GRID`` states; for a
+    qubit input it takes 2000. A negative ``budget`` raises ValueError, even
+    where the verdict is decided.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -622,6 +593,12 @@ def is_n_positive(t: Superoperator, n: int, budget: int | None = None,
     cp = is_cp(t)
     if cp.is_cp:
         return replace(cp, is_positive="no-violation-found")
+    if n == 1 and t.dim_in == t.dim_out == 2 and matcore.is_hermitian(choi_of(t)):
+        proof = _s_lemma(t)
+        if proof is not None:
+            rep = PositivityReport(is_positive="no-violation-found", certificate_mu=proof[0],
+                                   certificate_margin=proof[1])
+            return _with_choi(rep, cp, "s-lemma")
     comp = extend_with_identity(t, n)
     if n >= t.dim_in and matcore.is_hermitian(choi_of(t)):
         witness = states.projector(_choi_seeds(t, n, 1)[0])

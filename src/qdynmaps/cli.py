@@ -77,6 +77,9 @@ def cmd_check(args) -> int:
         if pos.certificate == "choi":
             print(f"positivity: {pos.is_positive}"
                   " (decided from the Choi spectrum: CP maps are positive)")
+        elif pos.certificate == "s-lemma":
+            print(f"positivity: {pos.is_positive} (decided by the S-lemma: margin "
+                  f"{pos.certificate_margin:.6g}, mu {pos.certificate_mu:.6g})")
         else:
             print(f"positivity search: {pos.is_positive} ({pos.samples_used} samples)")
         negative = (not tp) or (not pos.is_cp) or pos.is_positive == "certified-violation"
@@ -89,6 +92,8 @@ def cmd_check(args) -> int:
             "positivity": pos.is_positive,
             "samples_used": pos.samples_used,
             "certificate": pos.certificate,
+            "certificate_margin": pos.certificate_margin,
+            "certificate_mu": pos.certificate_mu,
             "thresholds": {"witness": config.witness_margin()},
         })
     elif "variant" in obj:
@@ -182,7 +187,8 @@ def _case_flip(args, cc: CaseChecks) -> None:
     for lam, want in zip(spectrum, (-1.0, 1.0, 1.0, 1.0)):
         cc.expect(f"Choi eigenvalue {want:+.0f}", lam, want, 1e-9)
     pos = channels.is_positive_map(flip, budget=2000, seed=args.seed)
-    cc.expect_true("positivity search finds no violation", pos.is_positive == "no-violation-found")
+    cc.expect_true("positivity: no violation found", pos.is_positive == "no-violation-found")
+    cc.expect_true("positivity decided by the S-lemma", pos.certificate == "s-lemma")
 
 
 def _four_state_table() -> opendyn.TabulatedAssignment:

@@ -501,12 +501,13 @@ def pechukas_witness(
     - A product map runs no search: every pure state has the image
       spectrum of psi psi^dag (x) tau, so the value is min(0, lmin(tau)),
       and "no witness" is a proof of positivity.
-    - A non-product map runs ``channels.minimize_output_min_eig``: for a
-      qubit system on the six Pauli eigenstates and ``PECHUKAS_GRID``
-      Fibonacci points, polished by Newton Bloch chains (``budget`` and
-      ``seed`` are unused); for d_s >= 3 with ``budget`` and ``seed``, and
-      started also from the Choi seeds of Phi (``channels._choi_seeds``
-      with n = 1), so that ``budget=0`` still searches.
+    - A non-product map runs ``channels.minimize_output_min_eig``, whose
+      see-saw chains with Newton steps polish the best grid points: for a
+      qubit system the six Pauli eigenstates and ``PECHUKAS_GRID``
+      Fibonacci points (``budget`` and ``seed`` are unused); for d_s >= 3
+      ``budget`` random states drawn from ``seed``, and the chains also
+      start from the Choi seeds of Phi (``channels._choi_seeds`` with
+      n = 1), so that ``budget=0`` still searches.
 
     The witness is returned only when the value clears
     ``channels.certify_violation``'s margin; a non-product map whose value

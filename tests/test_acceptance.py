@@ -8,7 +8,7 @@ surface the usual way.
 import numpy as np
 import pytest
 
-from qdynmaps import channels, compatdomain, matcore, opendyn, states
+from qdynmaps import channels, compatdomain, config, matcore, opendyn, states
 from qdynmaps.channels import (
     adjoint_map,
     choi_of,
@@ -102,14 +102,19 @@ def test_criterion_1_flip_map():
     val = states.expectation(out, states.bell_projector("psi+"))
     spectrum = matcore.herm_eig(choi_of(flip)).eigenvalues
     pos = is_positive_map(flip, budget=2000, seed=0)
+    # a forced 2000-point search must not contradict the S-lemma's proof
+    search = channels.minimize_output_min_eig(flip, 2000)
     ok = (
         abs(val - (-0.5)) <= 1e-10
         and np.abs(spectrum - np.array([-1.0, 1.0, 1.0, 1.0])).max() <= 1e-9
         and pos.is_positive == "no-violation-found"
-        and pos.samples_used >= 2000
+        and pos.certificate == "s-lemma"
+        and pos.samples_used == 0
+        and abs(pos.certificate_margin - 2 * config.tolerance()) <= 1e-15
+        and channels.certify_violation(flip.apply, *search).is_positive == "no-violation-found"
     )
     verdict("1: flip map: singlet expectation -1/2, Choi spectrum (-1,1,1,1), "
-            "positive on 2000-point search", ok)
+            "positive by the S-lemma, no violation on a 2000-point search", ok)
 
 
 def test_criterion_2_singlet_marginals():

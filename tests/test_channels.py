@@ -65,6 +65,13 @@ class TestSuperoperator:
         t = Superoperator(dim_in=2, dim_out=3, transfer=np.ones((9, 4)))
         assert t.apply_batch(np.empty((0, 2, 2), dtype=complex)).shape == (0, 3, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_transfer_rejected_at_construction(self, bad):
+        transfer = np.eye(4, dtype=complex)
+        transfer[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Superoperator(dim_in=2, dim_out=2, transfer=transfer)
+
 
 class TestTransferFromKraus:
     def test_identity(self):
@@ -192,9 +199,15 @@ class TestIsCp:
 
 class TestPositivitySearch:
     def test_flip_map_positive(self):
-        rep = is_positive_map(flip_superoperator(), budget=2000)
+        flip = flip_superoperator()
+        rep = is_positive_map(flip, budget=2000)
         assert rep.is_positive == "no-violation-found"
-        assert rep.samples_used >= 2000
+        assert rep.certificate == "s-lemma" and rep.samples_used == 0
+        # the flip sits on the boundary: the margin is that of flip + tol tr(.) I
+        assert abs(rep.certificate_margin - 2 * config.tolerance()) <= 1e-15
+        # a forced search finds no violation either
+        search = channels.minimize_output_min_eig(flip, 2000)
+        assert channels.certify_violation(flip.apply, *search).is_positive == "no-violation-found"
 
     def test_transpose_positive(self):
         rep = is_positive_map(transpose_superoperator(2), budget=2000)
@@ -248,6 +261,22 @@ def _transpose_mixture(d: int, p: float, seed: int) -> Superoperator:
                          + (1 - p) * cptp.transfer)
 
 
+def _flip_after_unitary(seed: int) -> Superoperator:
+    """rho -> flip(U rho U^dag) for a random U: positive and NCP, like the flip."""
+    u = channels.random_unitary(2, np.random.default_rng(seed))
+    conj = transfer_from_kraus([u]).transfer
+    return Superoperator(dim_in=2, dim_out=2, transfer=flip_superoperator().transfer @ conj)
+
+
+def _noisy_flip(offset: float) -> Superoperator:
+    """(1 - p) flip + p depolarising, positive for every p, with Choi
+    lambda_min = 1.5p - 1 placed at -tol + offset."""
+    p = (1.0 - config.tolerance() + offset) / 1.5
+    depolarising = np.outer(vec(I2 / 2), vec(I2))
+    return Superoperator(dim_in=2, dim_out=2,
+                         transfer=(1 - p) * flip_superoperator().transfer + p * depolarising)
+
+
 class TestDecidedPositivity:
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -297,12 +326,9 @@ class TestDecidedPositivity:
     @pytest.mark.parametrize("offset", [-1e-7, -3e-8, -5e-9, 5e-9, 3e-8, 1e-7])
     @pytest.mark.parametrize("n", [2, 3])
     def test_near_threshold_n_positivity_agrees_with_is_cp(self, offset, n):
-        p = (1.0 - config.tolerance() + offset) / 1.5
-        depolarising = np.outer(vec(I2 / 2), vec(I2))
-        t = Superoperator(dim_in=2, dim_out=2,
-                          transfer=(1 - p) * flip_superoperator().transfer + p * depolarising)
+        t = _noisy_flip(offset)
         cp = is_cp(t)
-        assert abs(cp.min_choi_eigenvalue - (1.5 * p - 1)) <= 1e-12
+        assert abs(cp.min_choi_eigenvalue - (offset - config.tolerance())) <= 1e-12
         rep = is_n_positive(t, n)
         assert rep.certificate == "choi" and rep.is_cp == cp.is_cp
         if cp.is_cp:
@@ -321,12 +347,26 @@ class TestDecidedPositivity:
         assert rep.certificate is None and rep.samples_used >= 300
         assert rep.is_cp is False
 
-    @pytest.mark.parametrize("t", [flip_superoperator(), transpose_superoperator(3),
-                                   scaled_z_map(1.2)], ids=["flip", "transpose-3", "scaled-z"])
+    @pytest.mark.parametrize("t", [transpose_superoperator(3), scaled_z_map(1.2)],
+                             ids=["transpose-3", "scaled-z"])
     def test_positivity_of_ncp_maps_still_searches(self, t):
         rep = is_positive_map(t, budget=300)
         assert rep.certificate is None and rep.samples_used >= 300
         assert rep.is_cp is False
+
+    @pytest.mark.parametrize("t", [
+        pytest.param(flip_superoperator(), id="flip"),
+        pytest.param(transpose_superoperator(2), id="transpose-2"),
+        pytest.param(_flip_after_unitary(0), id="flip-unitary"),
+        pytest.param(_transpose_mixture(2, 0.6, seed=2), id="mixture-2-p0.6"),
+        pytest.param(_transpose_mixture(2, 0.9, seed=2), id="mixture-2-p0.9"),
+    ])
+    def test_qubit_positivity_decided_by_the_s_lemma(self, t):
+        rep = is_positive_map(t, budget=300)
+        assert rep.is_positive == "no-violation-found" and rep.is_cp is False
+        assert rep.certificate == "s-lemma" and rep.samples_used == 0
+        assert rep.certificate_margin >= 0 and rep.certificate_mu >= 0
+        assert rep.min_choi_eigenvalue == is_cp(t).min_choi_eigenvalue
 
 
 def random_shifted_choi_map(d: int, rng) -> Superoperator:
@@ -337,10 +377,84 @@ def random_shifted_choi_map(d: int, rng) -> Superoperator:
     return transfer_from_choi(c, d, d)
 
 
+def _near_kernel_map(delta: float) -> Superoperator:
+    """rho -> <1|rho|1> I + delta <0|rho|0> sigma_x. The image of |0> is
+    delta sigma_x, of lmin -delta, and so small that the S-lemma's quadratic
+    form sees the violation only at order delta^2."""
+    t = np.zeros((4, 4), dtype=complex)
+    t[:, 0] = delta * vec(SIGMA_X)  # column i + 2j holds vec T(E_ij)
+    t[:, 3] = vec(I2)
+    return Superoperator(dim_in=2, dim_out=2, transfer=t)
+
+
+def _s_lemma_margin(t: Superoperator, mu: float) -> float:
+    """lmin(M - mu eta) for t + tau tr(.) I, tau = -psd_threshold(|transfer|_inf),
+    from L_ab = tr(sigma_a T(sigma_b)) / 2 and M = L^T eta L."""
+    tau = -config.psd_threshold(float(np.abs(t.transfer).max()))
+    shifted = Superoperator(dim_in=2, dim_out=2,
+                            transfer=t.transfer + tau * np.outer(vec(I2), vec(I2)))
+    paulis = [I2, *states.PAULIS]
+    ell = np.array([[np.trace(a @ shifted.apply(b)).real / 2 for b in paulis] for a in paulis])
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    return float(np.linalg.eigvalsh(ell.T @ eta @ ell - mu * eta)[0])
+
+
+class TestSLemma:
+    """Qubit positivity decided by the S-lemma, against the search."""
+
+    def test_agrees_with_the_search(self):
+        rng = np.random.default_rng(77)
+        maps = [random_shifted_choi_map(2, rng) for _ in range(120)]
+        maps += [_transpose_mixture(2, p, seed) for p in (0.3, 0.6, 0.9) for seed in range(6)]
+        maps += [_flip_after_unitary(seed) for seed in range(10)]
+        maps += [_noisy_flip(offset) for offset in (-1e-7, -5e-9, 5e-9, 1e-7)]
+        maps += [scaled_z_map(1 + 1e-3), _near_kernel_map(1e-5)]
+        decided = certified = 0
+        for t in maps:
+            rep = is_positive_map(t)
+            forced = channels.certify_violation(
+                t.apply, *channels.minimize_output_min_eig(t, 300))
+            if rep.certificate == "s-lemma":
+                decided += 1
+                assert forced.is_positive == "no-violation-found"
+                assert rep.samples_used == 0 and rep.certificate_margin >= 0
+                recomputed = _s_lemma_margin(t, rep.certificate_mu)
+                assert (abs(recomputed - rep.certificate_margin)
+                        <= 1e-12 * max(1.0, rep.certificate_mu))
+            if forced.is_positive == "certified-violation":
+                certified += 1
+                assert rep.certificate is None and rep.is_positive == "certified-violation"
+        assert decided > 0 and certified > 0
+
+    # positive on both sides of the Choi threshold
+    @pytest.mark.parametrize("offset", [-1e-7, -5e-9, 5e-9, 1e-7])
+    def test_noisy_flip_decided_across_the_choi_threshold(self, offset):
+        rep = is_positive_map(_noisy_flip(offset))
+        assert rep.is_positive == "no-violation-found" and rep.samples_used == 0
+        assert rep.certificate == ("choi" if rep.is_cp else "s-lemma")
+
+    # violations of 5e-4 and 1e-5, far above the witness margin
+    @pytest.mark.parametrize("t", [scaled_z_map(1 + 1e-3), _near_kernel_map(1e-5)],
+                             ids=["scaled-z", "near-kernel"])
+    def test_small_violations_are_not_certified_positive(self, t):
+        rep = is_positive_map(t)
+        assert rep.certificate is None and rep.is_positive == "certified-violation"
+
+    def test_maps_outside_its_scope_are_searched(self):
+        # rho -> rho sigma_z is not Hermiticity-preserving
+        not_hp = Superoperator(dim_in=2, dim_out=2, transfer=matcore.kron(SIGMA_Z, I2))
+        g = np.random.default_rng(3).standard_normal((6, 6))
+        qubit_to_qutrit = transfer_from_choi(g @ g.T / 6 - np.eye(6), 2, 3)
+        for t in (not_hp, qubit_to_qutrit):
+            rep = is_positive_map(t, budget=50)
+            assert rep.is_cp is False
+            assert rep.certificate is None and rep.samples_used >= 50
+
+
 class TestSearch:
     """`minimize_output_min_eig` against the old grid-and-descent search
-    (`ref_minimize_output_min_eig`): the see-saw from dim_in = 3 on, Newton
-    Bloch chains for qubit inputs."""
+    (`ref_minimize_output_min_eig`): see-saw chains with Newton steps in
+    every dimension."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("budget", [50, 300])

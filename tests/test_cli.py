@@ -30,6 +30,15 @@ def flip_file(tmp_path):
     )
 
 
+def t_a2_file(tmp_path):
+    """T_a(rho) = (tr(rho) I - a rho) / (d - a) at d = 2, a = 1.5: every pure
+    state's image has lmin -1, so the qubit search certifies a violation."""
+    iv = channels.vec(np.eye(2))
+    t = channels.Superoperator(dim_in=2, dim_out=2,
+                               transfer=(np.outer(iv, iv) - 1.5 * np.eye(4)) / 0.5)
+    return write_json(tmp_path, "t_a2.json", channels.superoperator_to_json(t))
+
+
 def unitary_generator_file(tmp_path, u=CNOT_R_CONTROLS_S):
     return write_json(
         tmp_path, "gen.json",
@@ -128,10 +137,21 @@ class TestCheckCertificate:
 
     def test_ncp_map_searched(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(["--out", str(out), "check", flip_file(tmp_path), "--budget", "500"]) == 2
-        assert "positivity search: no-violation-found" in capsys.readouterr().out
+        assert main(["--out", str(out), "check", t_a2_file(tmp_path), "--budget", "500"]) == 2
+        assert "positivity search: certified-violation" in capsys.readouterr().out
         rep = json.loads(out.read_text())
         assert rep["certificate"] is None and rep["samples_used"] >= 500
+        assert rep["certificate_margin"] is None and rep["certificate_mu"] is None
+
+    def test_positive_qubit_map_decided_by_the_s_lemma(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "check", flip_file(tmp_path)]) == 2
+        assert "positivity: no-violation-found (decided by the S-lemma: margin" in (
+            capsys.readouterr().out)
+        rep = json.loads(out.read_text())
+        assert rep["certificate"] == "s-lemma" and rep["samples_used"] == 0
+        assert rep["positivity"] == "no-violation-found"
+        assert rep["certificate_margin"] >= 0 and abs(rep["certificate_mu"] - 1.0) <= 1e-8
 
     def test_seeded_search_at_default_budget_records_its_margin(self, tmp_path):
         # T_a at d = 3, a = 2: not positive, searched on the 256-state grid beside the seeds
@@ -168,10 +188,10 @@ class TestBudget:
 
     def test_zero_budget_still_scores_the_pauli_eigenstates(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        assert main(["--out", str(out), "check", flip_file(tmp_path), "--budget", "0"]) == 2
-        assert "positivity search: no-violation-found" in capsys.readouterr().out
+        assert main(["--out", str(out), "check", t_a2_file(tmp_path), "--budget", "0"]) == 2
+        assert "positivity search: certified-violation" in capsys.readouterr().out
         rep = json.loads(out.read_text())
-        assert rep["positivity"] == "no-violation-found" and rep["samples_used"] >= 6
+        assert rep["positivity"] == "certified-violation" and rep["samples_used"] >= 6
 
 
 class TestInputErrors:
