@@ -1,9 +1,9 @@
 """Quantum dynamical maps on finite-dimensional systems.
 
 Representation conversions (transfer/Choi/Kraus), positivity and
-complete-positivity audits, assignment maps with linearity/consistency
-checks, reduced dynamics with correlated initial conditions, and
-compatibility-domain geometry.
+complete-positivity audits, assignment maps with consistency checks and
+linear extension of tables, reduced dynamics with correlated initial
+conditions, and compatibility-domain geometry.
 """
 
 from .config import DEFAULT_TOL, set_tolerance, tolerance
@@ -38,9 +38,6 @@ from .channels import (
     is_n_positive,
     is_positive_map,
     kraus_from_choi,
-    lueders,
-    nonselective,
-    selective_apply,
     transfer_from_choi,
     transfer_from_kraus,
     transpose_superoperator,
@@ -54,8 +51,6 @@ from .opendyn import (
     TabulatedAssignment,
     TrajectoryReport,
     assign,
-    check_consistency,
-    check_linearity,
     correlated_assignment,
     dephasing_assignment,
     extend_linearly,

@@ -59,9 +59,6 @@ __all__ = [
     "is_n_positive",
     "extend_with_identity",
     "adjoint_map",
-    "lueders",
-    "nonselective",
-    "selective_apply",
     "random_cptp",
     "identity_superoperator",
     "transpose_superoperator",
@@ -156,14 +153,10 @@ class Superoperator:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators with a declared completeness class.
-
-    ``trace-preserving``: sum W^dag W = I; ``selective``: sum W^dag W <= I.
-    The declared class is verified at construction.
-    """
+    """Kraus operators of a trace-preserving map: sum W^dag W = I, verified
+    at construction."""
 
     ops: tuple
-    completeness: str = "trace-preserving"
 
     def __post_init__(self):
         if not self.ops:
@@ -172,16 +165,8 @@ class KrausSet:
         if len(shapes) != 1:
             raise ValueError(f"inconsistent Kraus operator shapes: {shapes}")
         s = self.gram()
-        d = s.shape[0]
-        tol = tolerance()
-        if self.completeness == "trace-preserving":
-            if not matcore.mat_close(s, np.eye(d), 1e3 * tol):
-                raise ValueError("sum W^dag W != I for a trace-preserving KrausSet")
-        elif self.completeness == "selective":
-            if matcore.min_eig(np.eye(d) - s) < psd_threshold(1.0):
-                raise ValueError("sum W^dag W exceeds I for a selective KrausSet")
-        else:
-            raise ValueError(f"unknown completeness class {self.completeness!r}")
+        if not matcore.mat_close(s, np.eye(s.shape[0]), 1e3 * tolerance()):
+            raise ValueError("sum W^dag W != I for a trace-preserving KrausSet")
 
     @property
     def dim_in(self) -> int:
@@ -249,13 +234,13 @@ def transfer_from_choi(c: np.ndarray, dim_in: int, dim_out: int) -> Superoperato
     return Superoperator(dim_in=dim_in, dim_out=dim_out, transfer=t)
 
 
-def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int,
-                    completeness: str = "trace-preserving") -> KrausSet:
+def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int) -> KrausSet:
     """Kraus operators from a PSD Choi matrix.
 
     Ordered by descending Choi eigenvalue; eigenvalues below tolerance are
     truncated. Raises if the Choi matrix has a genuinely negative eigenvalue
-    (the map is NCP and admits no Kraus form).
+    (the map is NCP and admits no Kraus form), or if the map is not trace
+    preserving (the resulting :class:`KrausSet` rejects it).
     """
     c = np.asarray(c, dtype=complex)
     eig = matcore.herm_eig(c)
@@ -274,7 +259,7 @@ def kraus_from_choi(c: np.ndarray, dim_in: int, dim_out: int,
         # C = sum_a w_a w_a^dag with w[(i,k)] = W[k,i]: unstack accordingly
         w = np.sqrt(lam) * np.asarray(v).reshape(dim_in, dim_out).T
         ops.append(w)
-    return KrausSet(ops=tuple(ops), completeness=completeness)
+    return KrausSet(ops=tuple(ops))
 
 
 def is_cp(t: Superoperator) -> PositivityReport:
@@ -627,58 +612,6 @@ def adjoint_map(t: Superoperator) -> Superoperator:
     )
 
 
-# -- measurements and selective operations -----------------------------------
-
-
-def _check_projectors(projectors) -> int:
-    ps = [np.asarray(p, dtype=complex) for p in projectors]
-    d = ps[0].shape[0]
-    tol = 1e3 * tolerance()
-    for p in ps:
-        if not matcore.mat_close(p @ p, p, tol):
-            raise ValueError("projector set contains a non-idempotent element")
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if float(np.abs(ps[i] @ ps[j]).max()) > tol:
-                raise ValueError("projector set is not mutually orthogonal")
-    if not matcore.mat_close(sum(ps), np.eye(d), tol):
-        raise ValueError("projector set does not resolve the identity")
-    return d
-
-
-def lueders(rho: np.ndarray, projectors) -> list[tuple[float, np.ndarray]]:
-    """Selective von Neumann measurement: outcome probabilities and
-    post-measurement states. Zero-probability branches are omitted."""
-    _check_projectors(projectors)
-    out = []
-    for p in projectors:
-        prob = float(np.trace(p @ rho).real)
-        if prob > tolerance():
-            out.append((prob, p @ rho @ dag(p) / prob))
-    return out
-
-
-def nonselective(rho: np.ndarray, projectors) -> np.ndarray:
-    """Nonselective measurement sum_i P_i rho P_i (a Kraus-form channel)."""
-    _check_projectors(projectors)
-    return sum(p @ rho @ dag(p) for p in projectors)
-
-
-def selective_apply(k: KrausSet, rho: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Apply a selective operation: (success probability, normalized state).
-
-    The unnormalized output's trace is the success probability; below
-    tolerance no state is produced.
-    """
-    if k.completeness not in ("selective", "trace-preserving"):
-        raise ValueError(f"unsupported completeness class {k.completeness!r}")
-    out = sum(w @ rho @ dag(w) for w in k.ops)
-    prob = float(np.trace(out).real)
-    if prob <= tolerance():
-        return 0.0, None
-    return prob, out / prob
-
-
 # -- stock maps and random channels ------------------------------------------
 
 
@@ -716,7 +649,7 @@ def random_cptp(dim: int, rng: np.random.Generator, kraus_rank: int | None = Non
     u = random_unitary(dim * k, rng)
     iso = u[:, :dim]  # isometry H_in -> H_out (x) H_env
     ops = tuple(iso.reshape(dim, k, dim)[:, a, :] for a in range(k))
-    return KrausSet(ops=ops, completeness="trace-preserving")
+    return KrausSet(ops=ops)
 
 
 # -- JSON superoperator format -----------------------------------------------

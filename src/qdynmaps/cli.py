@@ -103,15 +103,19 @@ def cmd_check(args) -> int:
             raise CliError(str(exc))
         thresholds = {"consistency": config.consistency_threshold()}
         if isinstance(phi, opendyn.TabulatedAssignment):
-            # a table is probed on its own states and their midpoints
-            pairs = phi.pairs
-            cons = opendyn.check_consistency(phi, [p[0] for p in pairs])
-            lin = opendyn.check_linearity(phi, [(pairs[i][0], pairs[j][0], 0.5)
-                                                for i in range(len(pairs))
-                                                for j in range(i + 1, len(pairs))])
-            audit = {"consistency_residual": cons.max_residual, "consistent": cons.consistent,
-                     "linearity_residual": lin.max_residual,
-                     "undefined_mixtures": lin.undefined_probes}
+            # a table is decided by its linear extension, or by the conflict
+            # that forbids one; its consistency is read off its own pairs
+            ext = opendyn.extend_linearly(phi)
+            residual = phi.consistency_residual
+            thresholds["table"] = config.table_threshold()
+            audit = {"consistency_residual": residual,
+                     "consistent": residual <= config.consistency_threshold(),
+                     "linearity_residual": ext.residual}
+            if ext.conflict is None:
+                linearity = "extends linearly"
+            else:
+                audit["image_gap"] = ext.conflict.image_gap
+                linearity = f"no linear extension: image gap {audit['image_gap']:.6f}"
         else:
             # an affine map is linear by construction; its consistency and
             # Pechukas verdict are decided from the transfer matrix
@@ -119,17 +123,16 @@ def cmd_check(args) -> int:
             thresholds["product"] = config.product_threshold()
             audit = {"consistency_residual": rep.consistency_residual,
                      "consistent": rep.consistent, "linearity_residual": 0.0,
-                     "undefined_mixtures": 0, "product_deviation": rep.product_deviation,
+                     "product_deviation": rep.product_deviation,
                      "pechukas": rep.verdict, "certificate": rep.certificate}
+            linearity = "linear by construction"
         print(f"consistency: max residual {audit['consistency_residual']:.3e}"
               f" ({'ok' if audit['consistent'] else 'VIOLATED'})")
-        print(f"linearity: max residual {audit['linearity_residual']:.3e}"
-              f" ({audit['undefined_mixtures']} undefined mixtures)")
+        print(f"linearity: max residual {audit['linearity_residual']:.3e} ({linearity})")
         if "pechukas" in audit:
             print(f"pechukas: {audit['pechukas']} (product deviation "
                   f"{audit['product_deviation']:.3e}, decided from the transfer matrix)")
-        negative = (not audit["consistent"]
-                    or audit["linearity_residual"] > config.consistency_threshold())
+        negative = not audit["consistent"] or "image_gap" in audit
         report.update({"type": "assignment", **audit, "thresholds": thresholds})
     else:
         raise CliError("file is neither a superoperator (kind) nor an assignment (variant)")

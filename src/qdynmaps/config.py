@@ -38,6 +38,13 @@ def consistency_threshold() -> float:
     return 1e3 * _tol
 
 
+def table_threshold() -> float:
+    """Largest entry of a difference at which two matrices of an assignment
+    table count as equal: a lookup's key match and the common-reservoir test
+    of ``opendyn.extend_linearly``."""
+    return _tol / 10.0
+
+
 def product_threshold() -> float:
     """Largest entry of transfer - transfer(rho -> rho (x) tau) for which a
     consistent assignment counts as the product map. It is the tolerance

@@ -31,7 +31,7 @@ import numpy as np
 from . import matcore, states
 from .channels import Superoperator, _choi_seeds, _readonly, certify_violation
 from .channels import minimize_output_min_eig, unvec, vec
-from .config import consistency_threshold, product_threshold, tolerance
+from .config import consistency_threshold, product_threshold, table_threshold, tolerance
 from .matcore import dag, kron, partial_trace, trace_norm
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "correlated_assignment",
     "dephasing_assignment",
     "assign",
-    "check_consistency",
-    "check_linearity",
     "ReducedDynamics",
     "reduced_map",
     "ExtensionResult",
@@ -123,7 +121,8 @@ class TabulatedAssignment:
     """Assignment defined only on finitely many states; no implicit extension.
 
     ``inconsistent=True`` flags tables whose pairs deliberately violate
-    tr_R(rho_SR) = rho_S.
+    tr_R(rho_SR) = rho_S; other tables must keep ``consistency_residual``
+    within ``consistency_threshold``.
     """
 
     pairs: tuple  # of (rho_s, rho_sr)
@@ -142,17 +141,22 @@ class TabulatedAssignment:
                     f"d_s={self.d_s}, d_r={self.d_r}"
                 )
         if not self.inconsistent:
-            for rho_s, rho_sr in self.pairs:
-                res = trace_norm(partial_trace(rho_sr, (self.d_s, self.d_r)) - rho_s)
-                if res > consistency_threshold():
-                    raise ValueError(
-                        f"table pair violates consistency (residual {res:.3g}); "
-                        "flag the table inconsistent=True if intended"
-                    )
+            res = self.consistency_residual
+            if res > consistency_threshold():
+                raise ValueError(
+                    f"table pair violates consistency (residual {res:.3g}); "
+                    "flag the table inconsistent=True if intended"
+                )
+
+    @property
+    def consistency_residual(self) -> float:
+        """Largest trace-norm residual of tr_R(rho_sr) - rho_s over the pairs."""
+        return max(trace_norm(partial_trace(rho_sr, (self.d_s, self.d_r)) - rho_s)
+                   for rho_s, rho_sr in self.pairs)
 
     def lookup(self, rho_s: np.ndarray) -> np.ndarray:
         for key, val in self.pairs:
-            if matcore.mat_close(key, rho_s, 1e-10):
+            if matcore.mat_close(key, rho_s, table_threshold()):
                 return val
         raise KeyError("state not in the tabulated assignment's domain")
 
@@ -198,55 +202,6 @@ def assign(phi: AssignmentMap, rho_s: np.ndarray) -> np.ndarray:
     if rho_s.shape != (phi.d_s, phi.d_s):
         raise ValueError(f"state shape {rho_s.shape}, assignment expects d_s={phi.d_s}")
     return phi(rho_s)
-
-
-@dataclass(frozen=True, eq=False)
-class ConsistencyReport:
-    max_residual: float
-    worst_probe: np.ndarray = field(repr=False)
-
-    @property
-    def consistent(self) -> bool:
-        return self.max_residual <= consistency_threshold()
-
-
-def check_consistency(phi: AssignmentMap, probes) -> ConsistencyReport:
-    """Max trace-norm residual of tr_R(Phi rho) - rho over the probes."""
-    worst = None
-    worst_res = -1.0
-    for rho in probes:
-        joint = assign(phi, rho)
-        res = trace_norm(partial_trace(joint, (phi.d_s, phi.d_r)) - rho)
-        if res > worst_res:
-            worst_res = res
-            worst = rho
-    return ConsistencyReport(max_residual=worst_res, worst_probe=worst)
-
-
-@dataclass(frozen=True)
-class LinearityReport:
-    max_residual: float
-    undefined_probes: int = 0
-
-
-def check_linearity(phi: AssignmentMap, probes) -> LinearityReport:
-    """Convex-combination audit.
-
-    ``probes`` is an iterable of (rho1, rho2, weight). For tabulated maps a
-    mixture falling outside the table is counted as undefined, not as a
-    violation: non-extendability is not nonlinearity.
-    """
-    worst = 0.0
-    undefined = 0
-    for rho1, rho2, lam in probes:
-        mix = lam * rho1 + (1.0 - lam) * rho2
-        try:
-            img_mix, img1, img2 = [assign(phi, rho) for rho in (mix, rho1, rho2)]
-        except KeyError:  # a table lookup outside the table
-            undefined += 1
-            continue
-        worst = max(worst, trace_norm(img_mix - lam * img1 - (1.0 - lam) * img2))
-    return LinearityReport(max_residual=worst, undefined_probes=undefined)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +277,6 @@ class Conflict:
     recombined_b: np.ndarray = field(repr=False)
     image_a: np.ndarray = field(repr=False)
     image_b: np.ndarray = field(repr=False)
-    residual: float = 0.0
 
     @property
     def image_gap(self) -> float:
@@ -331,7 +285,12 @@ class Conflict:
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """``residual`` is the largest entry of X vec(rho_k) - vec(sigma_k) over
+    the table, for the extension X found or, on a conflict, for the
+    least-squares X that fails."""
+
     outcome: str  # "extension" | "conflict"
+    residual: float
     extension: AssignmentMap | None = None
     conflict: Conflict | None = None
 
@@ -343,10 +302,10 @@ def _common_reservoir(tab: TabulatedAssignment) -> np.ndarray | None:
         cand = partial_trace(rho_sr, (tab.d_s, tab.d_r), keep=1)
         if tau is None:
             tau = cand
-        elif not matcore.mat_close(tau, cand, 1e-10):
+        elif not matcore.mat_close(tau, cand, table_threshold()):
             return None
     for rho_s, rho_sr in tab.pairs:
-        if not matcore.mat_close(rho_sr, kron(rho_s, tau), 1e-10):
+        if not matcore.mat_close(rho_sr, kron(rho_s, tau), table_threshold()):
             return None
     return tau
 
@@ -363,15 +322,15 @@ def extend_linearly(tab: TabulatedAssignment) -> ExtensionResult:
     state but are forced to different images.
     """
     d_s, d_r = tab.d_s, tab.d_r
-    tau = _common_reservoir(tab)
-    if tau is not None:
-        return ExtensionResult(
-            outcome="extension",
-            extension=ProductAssignment(rho_r=tau, d_s=d_s),
-        )
-
     p = np.stack([vec(rho_s) for rho_s, _ in tab.pairs], axis=1)  # d_s^2 x k
     s = np.stack([vec(rho_sr) for _, rho_sr in tab.pairs], axis=1)
+    tau = _common_reservoir(tab)
+    if tau is not None:
+        ext = ProductAssignment(rho_r=tau, d_s=d_s)
+        return ExtensionResult(outcome="extension",
+                               residual=float(np.abs(ext.transfer @ p - s).max()),
+                               extension=ext)
+
     x, *_ = np.linalg.lstsq(p.T, s.T, rcond=None)
     x = x.T  # minimal-norm map with X p = s in least squares
     residual = float(np.abs(x @ p - s).max())
@@ -382,7 +341,7 @@ def extend_linearly(tab: TabulatedAssignment) -> ExtensionResult:
             d_s=d_s,
             d_r=d_r,
         )
-        return ExtensionResult(outcome="extension", extension=ext)
+        return ExtensionResult(outcome="extension", residual=residual, extension=ext)
 
     # irreducible residual: exhibit the conflict from a state-side null vector
     _, sv, vh = np.linalg.svd(p)
@@ -424,9 +383,8 @@ def extend_linearly(tab: TabulatedAssignment) -> ExtensionResult:
         recombined_b=rho_b,
         image_a=img_a,
         image_b=img_b,
-        residual=residual,
     )
-    return ExtensionResult(outcome="conflict", conflict=conflict)
+    return ExtensionResult(outcome="conflict", residual=residual, conflict=conflict)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,10 +16,7 @@ from qdynmaps.channels import (
     is_n_positive,
     is_positive_map,
     kraus_from_choi,
-    lueders,
-    nonselective,
     random_cptp,
-    selective_apply,
     superoperator_from_json,
     superoperator_to_json,
     transfer_from_choi,
@@ -170,6 +167,11 @@ class TestKrausFromChoi:
         swap = choi_of(transpose_superoperator(2))
         with pytest.raises(ValueError, match="NCP"):
             kraus_from_choi(swap, 2, 2)
+
+    def test_non_tp_operator_set_rejected(self):
+        # sum W^dag W = 1.21 I: an over-complete set, and the one class left is TP
+        with pytest.raises(ValueError, match="trace-preserving KrausSet"):
+            KrausSet(ops=(np.eye(2, dtype=complex) * 1.1,))
 
     def test_ordered_by_descending_weight(self):
         rng = np.random.default_rng(4)
@@ -669,68 +671,6 @@ class TestAdjoint:
         rng = np.random.default_rng(11)
         t = transfer_from_kraus(random_cptp(2, rng))
         assert np.abs(adjoint_map(adjoint_map(t)).transfer - t.transfer).max() < 1e-12
-
-
-class TestLueders:
-    def test_eigenstate_certain_outcome(self):
-        out = lueders(P0, [P0, P1])
-        assert len(out) == 1
-        p, rho = out[0]
-        assert abs(p - 1.0) < 1e-12
-        assert matcore.mat_close(rho, P0, 1e-12)
-
-    def test_maximally_mixed_even_split(self):
-        out = lueders(I2 / 2, [P0, P1])
-        probs = sorted(p for p, _ in out)
-        assert np.allclose(probs, [0.5, 0.5])
-
-    def test_probabilities_sum_to_one(self):
-        rng = np.random.default_rng(12)
-        rho = states.random_density(2, rng)
-        assert abs(sum(p for p, _ in lueders(rho, [P0, P1])) - 1.0) < 1e-12
-
-    def test_nonselective_dephases(self):
-        rho = states.from_bloch((0.7, 0.2, 0.1))
-        out = nonselective(rho, [P0, P1])
-        assert abs(out[0, 1]) < 1e-14
-
-    def test_nonselective_matches_kraus_channel(self):
-        rho = states.from_bloch((0.3, -0.4, 0.2))
-        via_channel = transfer_from_kraus([P0, P1]).apply(rho)
-        assert matcore.mat_close(nonselective(rho, [P0, P1]), via_channel, 1e-12)
-
-    def test_incomplete_projectors_rejected(self):
-        with pytest.raises(ValueError):
-            lueders(I2 / 2, [P0])
-
-    def test_non_orthogonal_rejected(self):
-        plus = states.from_bloch((1, 0, 0))
-        with pytest.raises(ValueError):
-            lueders(I2 / 2, [P0, plus])
-
-
-class TestSelective:
-    def test_projector_on_mixed(self):
-        k = KrausSet(ops=(P0,), completeness="selective")
-        p, rho = selective_apply(k, I2 / 2)
-        assert abs(p - 0.5) < 1e-12
-        assert matcore.mat_close(rho, P0, 1e-12)
-
-    def test_zero_probability_branch(self):
-        k = KrausSet(ops=(P0,), completeness="selective")
-        p, rho = selective_apply(k, P1)
-        assert p == 0.0 and rho is None
-
-    def test_uniform_attenuation(self):
-        k = KrausSet(ops=(np.eye(2, dtype=complex) / np.sqrt(2),), completeness="selective")
-        rho = states.from_bloch((0.1, 0.5, -0.2))
-        p, out = selective_apply(k, rho)
-        assert abs(p - 0.5) < 1e-12
-        assert matcore.mat_close(out, rho, 1e-12)
-
-    def test_overcomplete_rejected(self):
-        with pytest.raises(ValueError):
-            KrausSet(ops=(np.eye(2, dtype=complex) * 1.1,), completeness="selective")
 
 
 class TestJson:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qdynmaps import channels, compatdomain, config, matcore, opendyn, states
+from qdynmaps import channels, cli, compatdomain, config, matcore, opendyn, states
 from qdynmaps.cli import main
 
 CNOT_R_CONTROLS_S = np.array(
@@ -100,7 +100,7 @@ class TestCheck:
         assert rep["linearity_residual"] == 0.0
         assert rep["thresholds"] == {"consistency": 1e-5, "product": 1e-8}
 
-    def test_table_keeps_its_probes(self, tmp_path):
+    def test_table_decided_by_its_extension(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         src = opendyn.correlated_assignment(0.3)
         pairs = tuple((r, opendyn.assign(src, r))
@@ -109,10 +109,41 @@ class TestCheck:
         f = write_json(tmp_path, "tab.json", opendyn.assignment_to_json(tab))
         out = tmp_path / "report.json"
         assert main(["--out", str(out), "check", f]) == 0
+        assert "(extends linearly)" in capsys.readouterr().out
         rep = json.loads(out.read_text())
         assert rep["consistent"] and rep["linearity_residual"] <= 1e-12
+        assert rep["linearity_residual"] == opendyn.extend_linearly(tab).residual
+        assert "pechukas" not in rep and "image_gap" not in rep
+        assert rep["thresholds"] == {"consistency": 1e3 * config.DEFAULT_TOL, "table": 1e-10}
+
+    def test_conflict_table_is_negative(self, tmp_path, capsys):
+        f = write_json(tmp_path, "four.json",
+                       opendyn.assignment_to_json(cli._four_state_table()))
+        out = tmp_path / "report.json"
+        assert main(["--out", str(out), "check", f]) == 2
+        assert "no linear extension: image gap 1.000000" in capsys.readouterr().out
+        rep = json.loads(out.read_text())
+        assert rep["consistent"] and rep["negative_finding"] is True
+        assert abs(rep["image_gap"] - 1.0) <= 1e-9
+        assert rep["linearity_residual"] > rep["thresholds"]["consistency"]
         assert "pechukas" not in rep
-        assert rep["thresholds"] == {"consistency": 1e3 * config.DEFAULT_TOL}
+
+    def test_non_spanning_table_consistent(self, tmp_path):
+        # |0><0| -> |00><00|, |1><1| -> |11><11|: consistent pairs, but the
+        # minimal-norm extension drops the coherences, so its transfer matrix
+        # reads consistency residual 1
+        p0, p1 = (states.projector(states.ket(k, 2)) for k in (0, 1))
+        tab = opendyn.TabulatedAssignment(
+            pairs=((p0, matcore.kron(p0, p0)), (p1, matcore.kron(p1, p1))), d_s=2, d_r=2)
+        ext = opendyn.extend_linearly(tab).extension
+        assert opendyn.pechukas_report(ext).consistency_residual == 1.0
+        f = write_json(tmp_path, "two.json", opendyn.assignment_to_json(tab))
+        out = tmp_path / "report.json"
+        assert main(["--tol", "1e-8", "--out", str(out), "check", f]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["consistent"] is True and rep["consistency_residual"] == 0.0
+        assert "pechukas" not in rep
+        assert rep["thresholds"] == {"consistency": 1e-5, "table": 1e-9}
 
     def test_out_report_written(self, tmp_path):
         out = tmp_path / "report.json"

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from descent_reference import ref_minimize_output_min_eig
-from qdynmaps import channels, compatdomain, matcore, opendyn, states
+from qdynmaps import channels, compatdomain, config, matcore, opendyn, states
 from qdynmaps.channels import Superoperator, unvec, vec
 from qdynmaps.matcore import kron, partial_trace, trace_norm
 from qdynmaps.opendyn import (
@@ -14,8 +14,6 @@ from qdynmaps.opendyn import (
     assign,
     assignment_from_json,
     assignment_to_json,
-    check_consistency,
-    check_linearity,
     correlated_assignment,
     dephasing_assignment,
     extend_linearly,
@@ -190,26 +188,30 @@ class TestAssignmentIsSuperoperator:
 
 
 class TestConsistency:
-    def probes(self, rng, n=20):
-        return [states.random_density(2, rng) for _ in range(n)]
+    """A table's consistency is read off its own pairs."""
+
+    def table(self, phi, rng, inconsistent=False, n=20):
+        probes = [states.random_density(2, rng) for _ in range(n)]
+        return TabulatedAssignment(pairs=tuple((r, assign(phi, r)) for r in probes),
+                                   d_s=2, d_r=phi.d_r, inconsistent=inconsistent)
 
     def test_product_consistent(self):
         rng = np.random.default_rng(1)
         phi = ProductAssignment(rho_r=states.random_density(2, rng), d_s=2)
-        assert check_consistency(phi, self.probes(rng)).max_residual < 1e-12
+        assert self.table(phi, rng).consistency_residual < 1e-12
 
     def test_correlated_consistent_any_c(self):
         rng = np.random.default_rng(2)
         for c in (-1.0, -0.3, 0.5, 1.0):
-            phi = correlated_assignment(c)
-            assert check_consistency(phi, self.probes(rng)).max_residual < 1e-12
+            assert self.table(correlated_assignment(c), rng).consistency_residual < 1e-12
 
     def test_dephasing_inconsistent(self):
         phi = dephasing_assignment(I2 / 2)
         rho = from_bloch((1, 0, 0))
-        rep = check_consistency(phi, [rho])
-        assert abs(rep.max_residual - trace_norm(rho - np.diag(np.diag(rho)))) < 1e-12
-        assert not rep.consistent
+        tab = TabulatedAssignment(pairs=((rho, assign(phi, rho)),), d_s=2, d_r=2,
+                                  inconsistent=True)
+        assert abs(tab.consistency_residual - trace_norm(rho - np.diag(np.diag(rho)))) < 1e-12
+        assert tab.consistency_residual > config.consistency_threshold()
 
     def test_exact_residuals_pinned(self):
         rng = np.random.default_rng(1)
@@ -223,24 +225,6 @@ class TestConsistency:
         # the off-diagonal matrix units lose their whole image
         rep = pechukas_report(dephasing_assignment(tau))
         assert rep.consistency_residual == 1.0 and rep.verdict == "inconsistent"
-
-
-class TestLinearity:
-    def test_product_and_affine_linear(self):
-        rng = np.random.default_rng(3)
-        probes = [
-            (states.random_density(2, rng), states.random_density(2, rng), rng.random())
-            for _ in range(20)
-        ]
-        for phi in (ProductAssignment(rho_r=I2 / 2, d_s=2), correlated_assignment(0.7)):
-            assert check_linearity(phi, probes).max_residual < 1e-10
-
-    def test_tabulated_mixture_outside_table_is_undefined(self):
-        tab = four_state_table()
-        x_plus, x_minus = tab.pairs[0][0], tab.pairs[1][0]
-        rep = check_linearity(tab, [(x_plus, x_minus, 0.5)])
-        assert rep.undefined_probes == 1
-        assert rep.max_residual == 0.0
 
 
 class TestReducedMap:
@@ -342,6 +326,17 @@ class TestExtendLinearly:
         assert result.outcome == "extension"
         for s, img in tab.pairs:
             assert np.abs(assign(result.extension, s) - img).max() < 1e-10
+
+    def test_residual_recorded_for_both_outcomes(self):
+        assert extend_linearly(four_state_table()).residual > config.consistency_threshold()
+        p0, p1 = (states.projector(states.ket(k, 2)) for k in (0, 1))
+        tau = from_bloch((0.3, -0.1, 0.2))
+        product = four_state_table(reservoirs=(tau,) * 4)
+        two_pair = TabulatedAssignment(pairs=((p0, kron(p0, p0)), (p1, kron(p1, p1))),
+                                       d_s=2, d_r=2)
+        for tab in (product, two_pair):
+            result = extend_linearly(tab)
+            assert result.outcome == "extension" and result.residual <= 1e-15
 
 
 class TestPechukasWitness:
@@ -611,7 +606,6 @@ ARRAY_DATACLASSES = {
     "TabulatedAssignment": four_state_table,
     "ReducedDynamics": lambda: ReducedDynamics(
         phi=correlated_assignment(0.5), generator=("unitary", CNOT_R_CONTROLS_S)),
-    "ConsistencyReport": lambda: check_consistency(correlated_assignment(0.5), [I2 / 2]),
     "Conflict": _extension_conflict,
     "TrajectoryReport": lambda: inconsistency_analysis(
         dephasing_assignment(I2 / 2), kron(I2 / 2, I2 / 2),
